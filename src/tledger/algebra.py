@@ -21,9 +21,9 @@ from fractions import Fraction
 
 __all__ = ["Amount", "SignedAmount", "TAccount"]
 
-_DECIMAL_RE = re.compile(r"^(\d+)\.(\d+)$")
-_RATIONAL_RE = re.compile(r"^(\d+)/(\d+)$")
-_INTEGER_RE = re.compile(r"^\d+$")
+_DECIMAL_RE = re.compile(r"^([0-9]+)\.([0-9]+)$")
+_RATIONAL_RE = re.compile(r"^([0-9]+)/([0-9]+)$")
+_INTEGER_RE = re.compile(r"^[0-9]+$")
 
 
 class Amount:

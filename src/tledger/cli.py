@@ -19,7 +19,7 @@ from .algebra import Amount, TAccount
 from .chart import AccountPath
 from .ledger import Journal, Ledger
 from .matching import emit_schedule_transactions
-from .parser import format_transaction_block, parse_journal, validate_file
+from .parser import format_transaction_block, validate_file
 
 __all__ = ["RenderOptions", "main", "entry"]
 
@@ -93,8 +93,7 @@ def _load_valid(path: str, strict: bool) -> tuple[Journal | None, int]:
         return None, 2
     if report.status == "invalid":
         return None, 1
-    journal, _ = parse_journal(text, file=path, strict=strict)
-    return journal, 0
+    return report.journal, 0
 
 
 def _resolve_cutoff(journal: Journal, at: dt.date | None) -> dt.date:
@@ -168,6 +167,9 @@ def cmd_flows(args, opts: RenderOptions) -> int:
     start = args.from_date
     end = args.to_date
     if start is None:
+        if txs and txs[0].date == dt.date.min:
+            print("error: no day before 0001-01-01 to default --from to", file=sys.stderr)
+            return 1
         start = txs[0].date - dt.timedelta(days=1) if txs else dt.date.min
     if end is None:
         end = txs[-1].date if txs else dt.date.min

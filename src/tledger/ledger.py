@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 from .algebra import Amount, SignedAmount, TAccount
@@ -132,18 +133,30 @@ class Ledger:
         return cls(chart, {leaf: TAccount.zero() for leaf in chart.leaves()})
 
     def balance(self, account: AccountPath) -> TAccount:
+        return self.balances[self._resolve(account)]
+
+    def _resolve(self, account: AccountPath, span=None) -> AccountPath:
+        """account itself if it is a postable leaf here, else the error."""
         if account in self.balances:
-            return self.balances[account]
+            return account
         if account in self.chart:
-            raise NonLeafPostingError(f"account {account} is not postable")
-        raise UnknownAccountError(f"unknown account {account}")
+            raise NonLeafPostingError(f"account {account} is not postable", span=span)
+        raise UnknownAccountError(f"unknown account {account}", span=span)
 
     def post(self, tx: Transaction) -> Ledger:
-        """Fold one balanced transaction into the ledger.
+        """A new ledger with one balanced transaction folded in."""
+        ledger = replace(self, balances=dict(self.balances))
+        ledger._apply(tx)
+        return ledger
 
-        Each posting's entry is added componentwise to its account.
-        Because the entries sum to a zero pair, the whole tree stays a
-        zero representative.
+    def _apply(self, tx: Transaction) -> None:
+        """The replay step: validate tx, resolve every posting, then add
+        each entry componentwise to its account, in place.
+
+        Nothing is added until the whole transaction has passed, so a
+        failed transaction leaves the balances untouched. Because the
+        entries sum to a zero pair, the whole tree stays a zero
+        representative.
         """
         check = validate_transaction(tx)
         if not check.ok:
@@ -156,18 +169,10 @@ class Ledger:
             raise LedgerError(
                 "transaction requires at least two postings", span=tx.span
             )
-        balances = dict(self.balances)
         for p in tx.postings:
-            if p.account not in balances:
-                if p.account in self.chart:
-                    raise NonLeafPostingError(
-                        f"account {p.account} is not postable", span=p.span or tx.span
-                    )
-                raise UnknownAccountError(
-                    f"unknown account {p.account}", span=p.span or tx.span
-                )
-            balances[p.account] = balances[p.account] + p.entry
-        return replace(self, balances=balances)
+            self._resolve(p.account, p.span or tx.span)
+        for p in tx.postings:
+            self.balances[p.account] += p.entry
 
     def aggregate(self, path: AccountPath) -> TAccount:
         """Componentwise sum of every leaf in the subtree at path."""
@@ -279,8 +284,13 @@ class Journal:
         """Chart and transaction stream with schedules expanded.
 
         Schedule-generated accounts are declared on the fly; emitted
-        transactions merge into date order after authored ones.
+        transactions merge into date order after authored ones. The
+        expansion is computed once per journal.
         """
+        return self._expansion
+
+    @cached_property
+    def _expansion(self) -> tuple[Chart, tuple[Transaction, ...]]:
         from .matching import emit_schedule_transactions, schedule_accounts
 
         chart = self.chart
@@ -292,51 +302,37 @@ class Journal:
             txs.extend(emit_schedule_transactions(schedule))
         return chart, tuple(sorted(txs, key=lambda t: t.date))
 
-    def stock_at(self, cutoff: dt.date) -> Ledger:
-        """Balance-sheet view: post everything dated on or before cutoff.
+    def _fold(self, after: dt.date | None, through: dt.date) -> Ledger:
+        """Replay the transactions dated in (after, through] from zero.
 
-        Balances come back reduced; posting errors carry the offending
-        transaction's location.
+        after None means from the first transaction. Posting errors
+        carry the offending transaction's location.
         """
         chart, txs = self.expand()
         ledger = Ledger.empty(chart)
         for tx in txs:
-            if tx.date > cutoff:
+            if tx.date > through:
                 break
-            try:
-                ledger = ledger.post(tx)
-            except LedgerError as err:
-                if err.span is None:
-                    err.span = tx.span
-                raise
-        return replace(ledger.reduced(), as_of=cutoff)
+            if after is None or tx.date > after:
+                ledger._apply(tx)
+        return ledger
+
+    def stock_at(self, cutoff: dt.date) -> Ledger:
+        """Balance-sheet view: everything dated on or before cutoff, reduced."""
+        return replace(self._fold(None, cutoff).reduced(), as_of=cutoff)
 
     def flow_between(self, start: dt.date, end: dt.date) -> Ledger:
         """Flow view: raw componentwise posting sums over (start, end].
 
         The half-open interval means a stock at start plus this flow
         reconciles with the stock at end, with nothing double counted.
-        The grand total of any flow view is itself a zero representative.
+        Every transaction in the interval is validated as stock_at
+        validates it, so the grand total of a flow view is itself a
+        zero representative.
         """
         if start > end:
             raise IntervalError(f"inverted interval: {start} > {end}")
-        chart, txs = self.expand()
-        balances = {leaf: TAccount.zero() for leaf in chart.leaves()}
-        for tx in txs:
-            if tx.date <= start or tx.date > end:
-                continue
-            for p in tx.postings:
-                if p.account not in balances:
-                    if p.account in chart:
-                        raise NonLeafPostingError(
-                            f"account {p.account} is not postable",
-                            span=p.span or tx.span,
-                        )
-                    raise UnknownAccountError(
-                        f"unknown account {p.account}", span=p.span or tx.span
-                    )
-                balances[p.account] = balances[p.account] + p.entry
-        return Ledger(chart, balances, interval=(start, end))
+        return replace(self._fold(start, end), interval=(start, end))
 
     def reconcile(self, start: dt.date, end: dt.date) -> ReconciliationReport:
         """Check stock(start) + flow(start, end] against stock(end) per account.

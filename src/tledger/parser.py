@@ -32,13 +32,7 @@ from .algebra import Amount, TAccount
 from .chart import AccountPath, Chart
 from .diagnostics import ParseDiagnostic, Severity, SourceSpan
 from .errors import DuplicateAccountError, LedgerError
-from .ledger import (
-    Journal,
-    Ledger,
-    Posting,
-    Transaction,
-    validate_transaction,
-)
+from .ledger import Journal, Ledger, Posting, Transaction
 from .matching import MatchingSchedule, ScheduleMode, add_years, build_schedule
 
 __all__ = [
@@ -49,8 +43,8 @@ __all__ = [
     "FileReport",
 ]
 
-_DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
-_HEADER_RE = re.compile(r'^(\d{4}-\d{2}-\d{2})\s+"([^"]*)"\s*$')
+_DATE_RE = re.compile(r"^[0-9]{4}-[0-9]{2}-[0-9]{2}$")
+_HEADER_RE = re.compile(r'^([0-9]{4}-[0-9]{2}-[0-9]{2})\s+"([^"]*)"\s*$')
 _SIDES = {"dr": "dr", "debit": "dr", "cr": "cr", "credit": "cr"}
 
 
@@ -254,12 +248,14 @@ class _FileParser:
         counterpart = self.parse_path(*toks[2])
         total = self.parse_amount(*toks[3])
         n_tok, n_col = toks[5]
-        n = int(n_tok) if n_tok.isdigit() else 0
-        if n < 1:
-            self.error(
-                "schedule period count must be a positive integer",
-                self.span(n_col, len(n_tok)),
-            )
+        n_span = self.span(n_col, len(n_tok))
+        digits = n_tok.lstrip("0")
+        if n_tok.isascii() and n_tok.isdigit() and digits:
+            # Five or more digits run past MAXYEAR from any start; the cap
+            # keeps int() away from arbitrarily long tokens.
+            n = int(digits) if len(digits) <= 4 else dt.MAXYEAR
+        else:
+            self.error("schedule period count must be a positive integer", n_span)
             n = None
         start = self.parse_date(*toks[8])
         mode_tok, mode_col = toks[10]
@@ -272,6 +268,9 @@ class _FileParser:
             )
             mode = None
         if None in (source, counterpart, total, n, start, mode):
+            return
+        if start.year + n > dt.MAXYEAR:
+            self.error(f"schedule runs past the year {dt.MAXYEAR}", n_span)
             return
         if not total:
             self.error(
@@ -418,6 +417,7 @@ class FileReport:
     diagnostics: tuple[ParseDiagnostic, ...]
     transactions: int
     message: str
+    journal: Journal | None = None  # the parsed journal when status is "ok"
 
     @property
     def ok(self) -> bool:
@@ -432,7 +432,7 @@ def validate_file(
     After each posted transaction the whole tree is checked to still be
     a zero representative; a violation there would be an engine bug and
     is reported as an internal inconsistency. Problems are aggregated as
-    diagnostics, never thrown.
+    diagnostics, never thrown. A valid file's report carries its journal.
     """
     journal, diagnostics = parse_journal(text, file=file, strict=strict)
     diags = list(diagnostics)
@@ -444,20 +444,11 @@ def validate_file(
     ledger = Ledger.empty(chart)
     posted = 0
     for tx in txs:
-        span = tx.span or fallback
-        check = validate_transaction(tx)
-        if not check.ok:
-            if check.reason == "imbalance":
-                message = f"unbalanced transaction: residual {check.residual}"
-            else:
-                message = "transaction requires at least two postings"
-            diags.append(ParseDiagnostic(Severity.ERROR, message, span))
-            continue
         try:
-            ledger = ledger.post(tx)
+            ledger._apply(tx)
         except LedgerError as err:
             diags.append(
-                ParseDiagnostic(Severity.ERROR, str(err), err.span or span)
+                ParseDiagnostic(Severity.ERROR, str(err), err.span or fallback)
             )
             continue
         posted += 1
@@ -467,7 +458,7 @@ def validate_file(
                     Severity.ERROR,
                     "internal inconsistency: tree total is not a zero"
                     f" representative after {tx.date} {tx.description!r}",
-                    span,
+                    tx.span or fallback,
                 )
             )
     errors = sum(1 for d in diags if d.severity is Severity.ERROR)
@@ -476,5 +467,5 @@ def validate_file(
             "invalid", tuple(diags), posted, f"{errors} validation error(s)"
         )
     return FileReport(
-        "ok", tuple(diags), posted, f"ok: {posted} transactions, root ≡ 0"
+        "ok", tuple(diags), posted, f"ok: {posted} transactions, root ≡ 0", journal
     )

@@ -176,6 +176,43 @@ class TestFlows:
         assert code == 1
         assert "inverted" in err
 
+    def test_journal_starting_in_year_one(self, capsys, tmp_path):
+        f = tmp_path / "ancient.journal"
+        f.write_text(
+            'account a\naccount b\n\n0001-01-01 "x"\n    a dr 1\n    b cr 1\n',
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "flows", str(f))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == ["error: no day before 0001-01-01 to default --from to"]
+        code, out, _ = run(capsys, "flows", str(f), "--from", "0001-01-01")
+        assert code == 0
+        assert out.splitlines()[-1] == "total  (0, 0)  = 0  ok"
+
+
+class TestOneParsePerCommand:
+    @pytest.mark.parametrize("command", ["check", "balance", "equation", "flows", "schedule"])
+    def test_file_is_parsed_once(self, capsys, monkeypatch, fixture_file, command):
+        import tledger.parser
+
+        original = tledger.parser.parse_journal
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        # every module-level alias, so a caller importing it by name is counted too
+        for name, module in list(sys.modules.items()):
+            if name == "tledger" or name.startswith("tledger."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        code, _, _ = run(capsys, command, fixture_file)
+        assert code == 0
+        assert len(calls) == 1
+
 
 class TestSchedule:
     def test_fixture_schedule_prints_five_blocks(self, capsys, fixture_file):

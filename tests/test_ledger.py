@@ -177,6 +177,16 @@ class TestPost:
         with pytest.raises(ImbalanceError):
             ledger.post(tx(D(2020, 1, 1), "bad", dr("assets:cash", 2), cr("equity:capital", 1)))
 
+    def test_failed_post_leaves_no_partial_state(self, scenario_chart):
+        ledger = Ledger.empty(scenario_chart).post(
+            tx(D(2020, 1, 1), "open", dr("assets:cash", 1), cr("equity:capital", 1))
+        )
+        before = dict(ledger.balances)
+        bad = tx(D(2020, 1, 2), "bad", dr("assets:cash1", 1), cr("assets", 1))
+        with pytest.raises(NonLeafPostingError):
+            ledger.post(bad)
+        assert ledger.balances == before
+
     def test_root_zero_after_every_post(self, scenario_journal):
         chart, txs = scenario_journal.expand()
         ledger = Ledger.empty(chart)
@@ -371,6 +381,23 @@ class TestFlowBetween:
     def test_inverted_interval(self, scenario_journal):
         with pytest.raises(IntervalError):
             scenario_journal.flow_between(D(2020, 1, 4), D(2020, 1, 1))
+
+    def test_unbalanced_transaction_rejected_like_stock_at(self):
+        from tledger import parse_journal
+
+        journal, _ = parse_journal(
+            "account a\naccount b\n\n"
+            '2020-01-01 "open"\n    a dr 1\n    b cr 1\n\n'
+            '2020-01-02 "lopsided"\n    a dr 2\n    b cr 1\n'
+        )
+        with pytest.raises(ImbalanceError) as flow_err:
+            journal.flow_between(D(2020, 1, 1), D(2020, 1, 2))
+        with pytest.raises(ImbalanceError) as stock_err:
+            journal.stock_at(D(2020, 1, 2))
+        assert flow_err.value.span == stock_err.value.span
+        assert flow_err.value.span.line == 8  # the header of "lopsided"
+        # outside the interval the transaction is not replayed
+        assert journal.flow_between(D(2019, 12, 31), D(2020, 1, 1)).total().is_zero
 
     def test_interval_additivity(self, scenario_journal):
         t0, t1, t2 = D(2019, 12, 31), D(2020, 1, 2), D(2020, 1, 4)

@@ -163,6 +163,57 @@ class TestDiagnostics:
         )
         assert any("positive integer" in e.message for e in errs)
 
+    def test_schedule_count_must_be_ascii_digits(self):
+        errs = errors_of(
+            "account a\naccount b\n"
+            "schedule a b 1 over \u00b2 yearly from 2020-01-01 mode direct\n"
+        )
+        assert [e.message for e in errs] == [
+            "schedule period count must be a positive integer"
+        ]
+
+    @pytest.mark.parametrize(
+        "count, start",
+        [
+            pytest.param("8000", "2020-01-01", id="8000-years"),
+            pytest.param("3", "9997-06-30", id="one-year-over"),
+            pytest.param("9" * 5000, "2020-01-01", id="5000-digits"),
+        ],
+    )
+    def test_schedule_past_year_9999_is_diagnosed_at_the_count(self, count, start):
+        errs = errors_of(
+            "account a\naccount b\n"
+            f"schedule a b 1 over {count} yearly from {start} mode direct\n"
+        )
+        [err] = errs
+        assert err.message == "schedule runs past the year 9999"
+        assert (err.span.line, err.span.column, err.span.length) == (3, 21, len(count))
+
+    def test_schedule_ending_in_year_9999_is_accepted(self):
+        journal, _ = parse_ok(
+            "account a\naccount b\n"
+            "schedule a b 1 over 003 yearly from 9996-02-29 mode direct\n"
+        )
+        [schedule] = journal.schedules
+        assert schedule.periods[-1][0].isoformat() == "9999-02-28"
+
+    def test_non_ascii_digits_are_not_numbers(self):
+        arabic_three = "\u0663"
+        errs = errors_of(
+            f'account a\naccount b\n\n2020-01-01 "x"\n    a dr {arabic_three}\n    b cr 3\n'
+        )
+        assert [e.message for e in errs] == [f"malformed amount {arabic_three!r}"]
+        for literal in (f"1.{arabic_three}", f"1/{arabic_three}"):
+            with pytest.raises(ValueError):
+                Amount.parse(literal)
+        errs = errors_of(
+            "account a\naccount b\n"
+            f"schedule a b 1 over 5 yearly from 202{arabic_three}-01-01 mode direct\n"
+        )
+        assert [e.message for e in errs] == [f"malformed date '202{arabic_three}-01-01'"]
+        errs = errors_of(f'account a\n\n202{arabic_three}-01-01 "x"\n    a dr 1\n')
+        assert any("transaction header" in e.message for e in errs)
+
     def test_every_error_carries_a_valid_span(self):
         text = "??\nbasis\n    a dr 1\naccount 9bad\n"
         journal, diagnostics = parse_journal(text)
@@ -358,3 +409,58 @@ class TestValidateFile:
         report = validate_file(text)
         assert report.status == "invalid"
         assert any("not postable" in d.message for d in report.diagnostics)
+
+    def test_report_carries_the_journal_only_when_ok(self, fixture_text):
+        report = validate_file(fixture_text)
+        assert report.journal == parse_journal(fixture_text)[0]
+        broken = fixture_text.replace(
+            "assets:machine dr 123456789/250", "assets:machine dr 123456789/300"
+        )
+        assert validate_file(broken).journal is None
+        assert validate_file("account 9bad\n").journal is None
+
+    def test_failed_transaction_leaves_no_partial_state(self):
+        # The second posting names an interior account. Had the first
+        # posting been added before the failure, every later transaction
+        # would leave a nonzero tree total behind.
+        text = (
+            "account assets:cash\naccount assets:bank\naccount assets\naccount b\n\n"
+            '2020-01-01 "split"\n    b dr 1\n    assets cr 1\n\n'
+            '2020-01-02 "first"\n    assets:cash dr 1\n    b cr 1\n\n'
+            '2020-01-03 "second"\n    assets:bank dr 1\n    b cr 1\n'
+        )
+        report = validate_file(text)
+        assert report.status == "invalid"
+        assert [(d.message, d.span.line, d.span.column) for d in report.diagnostics] == [
+            ("account assets is not postable", 8, 5)
+        ]
+        assert report.transactions == 2
+
+    def test_internal_inconsistency_is_reported(self, monkeypatch):
+        from tledger import Ledger
+
+        real_total = Ledger.total
+        calls = []
+
+        def total_off_after_first_transaction(self):
+            calls.append(None)
+            if len(calls) == 1:
+                return TAccount.dr(Amount(1))
+            return real_total(self)
+
+        monkeypatch.setattr(Ledger, "total", total_off_after_first_transaction)
+        text = (
+            "account a\naccount b\n\n"
+            '2020-01-01 "first"\n    a dr 1\n    b cr 1\n\n'
+            '2020-01-02 "second"\n    a dr 1\n    b cr 1\n'
+        )
+        report = validate_file(text)
+        assert report.status == "invalid"
+        [diag] = report.diagnostics
+        assert diag.severity is Severity.ERROR
+        assert diag.message == (
+            "internal inconsistency: tree total is not a zero representative"
+            " after 2020-01-01 'first'"
+        )
+        assert (diag.span.line, diag.span.column) == (4, 1)
+        assert report.transactions == 2
