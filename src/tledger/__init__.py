@@ -7,14 +7,13 @@ reconcile exactly. A plain-text journal language and a batch CLI sit on
 top of the algebra.
 """
 
-from .algebra import Amount, SignedAmount, TAccount
+from .algebra import Amount, TAccount
 from .chart import AccountPath, Chart
 from .diagnostics import ParseDiagnostic, Severity, SourceSpan
 from .errors import (
     ChildCollisionError,
     DuplicateAccountError,
     ImbalanceError,
-    InsufficientBalanceError,
     IntervalError,
     LedgerError,
     NonLeafPostingError,
@@ -29,20 +28,15 @@ from .ledger import (
     ReconciliationReport,
     ReconcileRow,
     Transaction,
-    TransactionCheck,
-    closing_transaction,
     validate_transaction,
 )
 from .matching import (
-    ActivityPair,
     MatchingSchedule,
     ScheduleMode,
     build_schedule,
-    complete_activity,
     contra_account,
     emit_schedule_transactions,
     net_book_value,
-    reclassify,
 )
 from .parser import (
     FileReport,
@@ -56,7 +50,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Amount",
-    "SignedAmount",
     "TAccount",
     "AccountPath",
     "Chart",
@@ -70,27 +63,21 @@ __all__ = [
     "ImbalanceError",
     "PartitionMismatchError",
     "ChildCollisionError",
-    "InsufficientBalanceError",
     "IntervalError",
     "Posting",
     "Transaction",
-    "TransactionCheck",
     "Journal",
     "Ledger",
     "ReconcileRow",
     "ReconciliationReport",
     "IncomeReport",
     "validate_transaction",
-    "closing_transaction",
-    "ActivityPair",
     "MatchingSchedule",
     "ScheduleMode",
     "build_schedule",
-    "complete_activity",
     "contra_account",
     "emit_schedule_transactions",
     "net_book_value",
-    "reclassify",
     "parse_journal",
     "serialize_journal",
     "format_transaction_block",

@@ -7,6 +7,11 @@ iff a + d = b + c, the additive analogue of fraction equivalence. Every
 pair (x, x) represents the neutral element, and the unique canonical
 representative of a class has a zero on at least one side.
 
+The classes form a group isomorphic to the additive rationals, and
+TAccount.balance (debit minus credit) is that isomorphism. Signed
+quantities, such as a balance or an imbalance residual, are therefore
+plain Fractions.
+
 All arithmetic is exact: amounts are arbitrary-precision rationals kept
 in lowest terms, so the group laws hold with component equality, never
 within a tolerance. All types here are immutable values and all
@@ -19,11 +24,16 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-__all__ = ["Amount", "SignedAmount", "TAccount"]
+__all__ = ["Amount", "TAccount"]
 
 _DECIMAL_RE = re.compile(r"^([0-9]+)\.([0-9]+)$")
 _RATIONAL_RE = re.compile(r"^([0-9]+)/([0-9]+)$")
 _INTEGER_RE = re.compile(r"^[0-9]+$")
+
+
+def _signed(value: Fraction) -> str:
+    """A signed rational as messages and reports show it: +2/5, -4, 0."""
+    return f"+{value}" if value > 0 else str(value)
 
 
 class Amount:
@@ -31,7 +41,7 @@ class Amount:
 
     Stored in lowest terms with a positive denominator; zero is 0/1.
     Amounts never go negative: subtraction that would cross zero raises,
-    and signedness lives in SignedAmount instead.
+    and signed values are plain Fractions instead.
     """
 
     __slots__ = ("_value",)
@@ -165,45 +175,6 @@ class Amount:
 
 
 @dataclass(frozen=True, slots=True)
-class SignedAmount:
-    """A signed exact rational: a sign in {-1, 0, +1} and a magnitude.
-
-    The sign is zero exactly when the magnitude is zero.
-    """
-
-    sign: int
-    magnitude: Amount
-
-    def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0, or +1, got {self.sign}")
-        if (self.sign == 0) != (not self.magnitude):
-            raise ValueError("sign is zero iff magnitude is zero")
-
-    @classmethod
-    def from_fraction(cls, value: Fraction) -> SignedAmount:
-        sign = (value > 0) - (value < 0)
-        return cls(sign, Amount._wrap(abs(value)))
-
-    @classmethod
-    def zero(cls) -> SignedAmount:
-        return cls(0, Amount(0))
-
-    @property
-    def as_fraction(self) -> Fraction:
-        return self.sign * self.magnitude.as_fraction
-
-    @property
-    def is_zero(self) -> bool:
-        return self.sign == 0
-
-    def __str__(self) -> str:
-        if self.sign == 0:
-            return "0"
-        return f"{'+' if self.sign > 0 else '-'}{self.magnitude}"
-
-
-@dataclass(frozen=True, slots=True)
 class TAccount:
     """An ordered (debit, credit) pair of non-negative exact amounts."""
 
@@ -253,11 +224,12 @@ class TAccount:
         common = min(self.debit, self.credit)
         return TAccount(self.debit - common, self.credit - common)
 
-    def balance(self) -> SignedAmount:
-        """Net of the pair as a signed quantity: debit minus credit."""
-        return SignedAmount.from_fraction(
-            self.debit.as_fraction - self.credit.as_fraction
-        )
+    def balance(self) -> Fraction:
+        """The signed value of the class: debit minus credit.
+
+        Two pairs are equivalent exactly when their balances are equal.
+        """
+        return self.debit.as_fraction - self.credit.as_fraction
 
     @property
     def is_zero(self) -> bool:

@@ -15,13 +15,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra import Amount, TAccount
+from .algebra import Amount, TAccount, _signed
 from .chart import AccountPath
 from .ledger import Journal, Ledger
 from .matching import emit_schedule_transactions
-from .parser import format_transaction_block, validate_file
+from .parser import FileReport, format_transaction_block, validate_file
 
 __all__ = ["RenderOptions", "main", "entry"]
+
+# Interpreters before 3.10.7 have no int-string limit to lift.
+_get_int_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_int_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
 
 
 @dataclass(frozen=True)
@@ -67,7 +71,8 @@ def _fmt_pair(entry: TAccount, places: int | None) -> str:
 def _zero_check_line(total: TAccount, places: int | None) -> str:
     if total.is_zero:
         return f"total  {_fmt_pair(total, places)}  = 0  ok"
-    return f"total  {_fmt_pair(total, places)}  IMBALANCED residual {total.balance()}"
+    residual = _signed(total.balance())
+    return f"total  {_fmt_pair(total, places)}  IMBALANCED residual {residual}"
 
 
 # -- loading ----------------------------------------------------------
@@ -81,8 +86,14 @@ def _read_file(path: str) -> str | None:
         return None
 
 
-def _load_valid(path: str, strict: bool) -> tuple[Journal | None, int]:
-    """Parse and fully validate; on failure report and pick the exit code."""
+def _load_valid(path: str, strict: bool) -> tuple[FileReport | None, int]:
+    """Parse and fully validate, printing the diagnostics.
+
+    Returns the report (None if the file cannot be read) and the exit
+    code its status maps to. The file is parsed under the interpreter's
+    int-string limit; once it is valid, the limit is lifted so that
+    reports render exact rationals of any length.
+    """
     text = _read_file(path)
     if text is None:
         return None, 2
@@ -90,10 +101,11 @@ def _load_valid(path: str, strict: bool) -> tuple[Journal | None, int]:
     for diag in report.diagnostics:
         print(diag.render(), file=sys.stderr)
     if report.status == "parse-error":
-        return None, 2
+        return report, 2
     if report.status == "invalid":
-        return None, 1
-    return report.journal, 0
+        return report, 1
+    _set_int_limit(0)
+    return report, 0
 
 
 def _resolve_cutoff(journal: Journal, at: dt.date | None) -> dt.date:
@@ -118,22 +130,17 @@ def _percent_scaled(
 
 
 def cmd_check(args) -> int:
-    text = _read_file(args.file)
-    if text is None:
-        return 2
-    report = validate_file(text, file=args.file, strict=not args.loose)
-    for diag in report.diagnostics:
-        print(diag.render(), file=sys.stderr)
-    if report.ok:
+    report, code = _load_valid(args.file, not args.loose)
+    if code == 0:
         print(report.message)
-        return 0
-    return 2 if report.status == "parse-error" else 1
+    return code
 
 
 def cmd_balance(args, opts: RenderOptions) -> int:
-    journal, code = _load_valid(args.file, not args.loose)
-    if journal is None:
+    report, code = _load_valid(args.file, not args.loose)
+    if code:
         return code
+    journal = report.journal
     cutoff = _resolve_cutoff(journal, args.at)
     ledger = _percent_scaled(journal, journal.stock_at(cutoff), opts)
     if ledger is None:
@@ -149,7 +156,7 @@ def cmd_balance(args, opts: RenderOptions) -> int:
             child_lines.extend(visit(child, depth + 1))
         if not (opts.show_zero or not agg.is_zero or child_lines):
             return []
-        value = _fmt_value(agg.balance().as_fraction, opts)
+        value = _fmt_value(agg.balance(), opts)
         return [f"{'  ' * (depth + 1)}{path.leaf}  {value}"] + child_lines
 
     for root in chart.roots():
@@ -160,9 +167,10 @@ def cmd_balance(args, opts: RenderOptions) -> int:
 
 
 def cmd_flows(args, opts: RenderOptions) -> int:
-    journal, code = _load_valid(args.file, not args.loose)
-    if journal is None:
+    report, code = _load_valid(args.file, not args.loose)
+    if code:
         return code
+    journal = report.journal
     _, txs = journal.expand()
     start = args.from_date
     end = args.to_date
@@ -195,9 +203,10 @@ def cmd_flows(args, opts: RenderOptions) -> int:
 
 
 def cmd_equation(args, opts: RenderOptions) -> int:
-    journal, code = _load_valid(args.file, not args.loose)
-    if journal is None:
+    report, code = _load_valid(args.file, not args.loose)
+    if code:
         return code
+    journal = report.journal
     cutoff = _resolve_cutoff(journal, args.at)
     ledger = _percent_scaled(journal, journal.stock_at(cutoff), opts)
     if ledger is None:
@@ -215,9 +224,10 @@ def cmd_equation(args, opts: RenderOptions) -> int:
 
 
 def cmd_schedule(args) -> int:
-    journal, code = _load_valid(args.file, not args.loose)
-    if journal is None:
+    report, code = _load_valid(args.file, not args.loose)
+    if code:
         return code
+    journal = report.journal
     blocks = []
     for schedule in journal.schedules:
         header = (
@@ -306,6 +316,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    limit = _get_int_limit()
+    try:
+        return _run(argv)
+    finally:
+        _set_int_limit(limit)
+
+
+def _run(argv: list[str] | None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:

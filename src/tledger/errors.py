@@ -29,7 +29,10 @@ class NonLeafPostingError(LedgerError):
 
 
 class ImbalanceError(LedgerError):
-    """A transaction's postings do not sum to a zero pair."""
+    """A transaction's postings do not sum to a zero pair.
+
+    residual is the signed balance of their sum, a Fraction.
+    """
 
     def __init__(self, message: str, residual=None, *, span=None):
         super().__init__(message, span=span)
@@ -37,7 +40,10 @@ class ImbalanceError(LedgerError):
 
 
 class PartitionMismatchError(LedgerError):
-    """Refinement shares do not sum exactly to the parent balance."""
+    """Refinement shares do not sum exactly to the parent balance.
+
+    residual is the shares' balance minus the parent's, a Fraction.
+    """
 
     def __init__(self, message: str, residual=None, *, span=None):
         super().__init__(message, span=span)
@@ -46,10 +52,6 @@ class PartitionMismatchError(LedgerError):
 
 class ChildCollisionError(LedgerError):
     """A refinement child path is not fresh or is duplicated."""
-
-
-class InsufficientBalanceError(LedgerError):
-    """An account does not carry enough balance for the requested movement."""
 
 
 class IntervalError(LedgerError):

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
-from .algebra import Amount, SignedAmount, TAccount
+from .algebra import Amount, TAccount, _signed
 from .chart import AccountPath, Chart
 from .errors import (
     ChildCollisionError,
@@ -38,14 +39,12 @@ if TYPE_CHECKING:
 __all__ = [
     "Posting",
     "Transaction",
-    "TransactionCheck",
     "Journal",
     "Ledger",
     "ReconcileRow",
     "ReconciliationReport",
     "IncomeReport",
     "validate_transaction",
-    "closing_transaction",
 ]
 
 
@@ -89,28 +88,24 @@ class Transaction:
         return out
 
 
-@dataclass(frozen=True, slots=True)
-class TransactionCheck:
-    """Outcome of validating one transaction."""
-
-    ok: bool
-    reason: str | None = None  # "empty-transaction" | "imbalance"
-    residual: SignedAmount | None = None
-
-
-def validate_transaction(tx: Transaction) -> TransactionCheck:
+def validate_transaction(tx: Transaction) -> None:
     """Check the double-entry rule: postings must sum to a zero pair.
 
-    Returns the signed residual (debit minus credit of the sum) when the
-    transaction does not balance. Fewer than two postings is rejected
-    outright.
+    Raises ImbalanceError, carrying the signed residual (debit minus
+    credit of the sum), when the transaction does not balance, and
+    LedgerError when it has fewer than two postings. Both errors carry
+    the transaction's span.
     """
     if len(tx.postings) < 2:
-        return TransactionCheck(False, reason="empty-transaction")
+        raise LedgerError("transaction requires at least two postings", span=tx.span)
     total = tx.total()
     if not total.is_zero:
-        return TransactionCheck(False, reason="imbalance", residual=total.balance())
-    return TransactionCheck(True)
+        residual = total.balance()
+        raise ImbalanceError(
+            f"unbalanced transaction: residual {_signed(residual)}",
+            residual,
+            span=tx.span,
+        )
 
 
 @dataclass(frozen=True)
@@ -158,17 +153,7 @@ class Ledger:
         entries sum to a zero pair, the whole tree stays a zero
         representative.
         """
-        check = validate_transaction(tx)
-        if not check.ok:
-            if check.reason == "imbalance":
-                raise ImbalanceError(
-                    f"unbalanced transaction: residual {check.residual}",
-                    check.residual,
-                    span=tx.span,
-                )
-            raise LedgerError(
-                "transaction requires at least two postings", span=tx.span
-            )
+        validate_transaction(tx)
         for p in tx.postings:
             self._resolve(p.account, p.span or tx.span)
         for p in tx.postings:
@@ -216,12 +201,10 @@ class Ledger:
             share_sum = share_sum + share
         target = self.balances[parent]
         if share_sum != target:
-            residual = SignedAmount.from_fraction(
-                share_sum.balance().as_fraction - target.balance().as_fraction
-            )
+            residual = share_sum.balance() - target.balance()
             raise PartitionMismatchError(
                 f"shares sum to {share_sum}, parent holds {target}"
-                f" (signed residual {residual})",
+                f" (signed residual {_signed(residual)})",
                 residual,
             )
         chart = self.chart
@@ -372,10 +355,7 @@ class Journal:
             agg = flow.aggregate(root)
             rows.append((root, agg))
             total = total + agg
-        net = SignedAmount.from_fraction(
-            total.credit.as_fraction - total.debit.as_fraction
-        )
-        return IncomeReport(start, end, tuple(rows), total, net)
+        return IncomeReport(start, end, tuple(rows), total, -total.balance())
 
 
 @dataclass(frozen=True, slots=True)
@@ -408,35 +388,5 @@ class IncomeReport:
     end: dt.date
     rows: tuple[tuple[AccountPath, TAccount], ...]
     total: TAccount
-    net_income: SignedAmount
+    net_income: Fraction
 
-
-def closing_transaction(
-    journal: Journal,
-    start: dt.date,
-    end: dt.date,
-    nominal_roots: Sequence[AccountPath],
-    target: AccountPath,
-    description: str = "close nominal flows",
-) -> Transaction:
-    """Optional plumbing: a transaction moving net nominal flows to target.
-
-    Income stays a derived view; nothing requires closing entries. This
-    builds one for users who want the books to show it explicitly.
-    """
-    flow = journal.flow_between(start, end)
-    if target not in flow.balances:
-        raise UnknownAccountError(f"closing target {target} is not a postable leaf")
-    postings = []
-    moved = TAccount.zero()
-    for root in nominal_roots:
-        for leaf in flow.chart.leaves_under(root):
-            net = flow.balances[leaf].reduce()
-            if net.is_zero:
-                continue
-            postings.append(Posting(leaf, net.inverse()))
-            moved = moved + net.inverse()
-    if not postings:
-        raise ValueError("no nominal activity to close")
-    postings.append(Posting(target, moved.inverse().reduce()))
-    return Transaction(end, description, tuple(postings))

@@ -1,12 +1,11 @@
-"""Activity pairing and multi-period matching.
+"""Multi-period matching.
 
-A debit-side resource can be earmarked against the credit-side
-obligation it is meant to settle. Completing that activity (paying the
-supplier from the cash set aside for it) emits a transaction that
-shrinks both sides by the same magnitude, so the pair drops out of the
-reduced balance sheet. A matching schedule does the same thing in
-installments: it partitions a resource across periods and consumes one
-slice per period against a period cost account.
+A matching schedule consumes a debit-side resource in installments: it
+partitions the resource across periods and, each period, moves one
+slice of it against a period cost account. Settling a resource against
+an obligation in one go needs no helper: it is an ordinary transaction
+that debits the obligation and credits the resource by the same amount,
+so both drop out of the reduced balance sheet.
 
 Two emission modes cover the two bookkeeping conventions: direct mode
 credits the source account itself (derecognition), contra mode credits a
@@ -25,19 +24,15 @@ from typing import TYPE_CHECKING
 
 from .algebra import Amount, TAccount
 from .chart import AccountPath
-from .errors import InsufficientBalanceError
 from .ledger import Ledger, Posting, Transaction
 
 if TYPE_CHECKING:
     from .diagnostics import SourceSpan
 
 __all__ = [
-    "ActivityPair",
     "MatchingSchedule",
     "ScheduleMode",
     "build_schedule",
-    "complete_activity",
-    "reclassify",
     "emit_schedule_transactions",
     "schedule_accounts",
     "contra_account",
@@ -51,90 +46,6 @@ CONTRA_SEGMENT = "accumulated-depreciation"
 class ScheduleMode(enum.Enum):
     DIRECT = "direct"
     CONTRA = "contra"
-
-
-@dataclass(frozen=True, slots=True)
-class ActivityPair:
-    """A debit-side resource matched to a credit-side obligation."""
-
-    resource: AccountPath
-    obligation: AccountPath
-    magnitude: Amount
-
-    def __post_init__(self):
-        if not self.magnitude:
-            raise ValueError("activity pair magnitude must be positive")
-
-
-def complete_activity(
-    ledger: Ledger,
-    pair: ActivityPair,
-    date: dt.date,
-    description: str | None = None,
-) -> Transaction:
-    """Emit the transaction that settles a matched resource/obligation pair.
-
-    Credits the resource and debits the obligation by the magnitude;
-    once posted, both reduced balances shrink by exactly that much and
-    vanish entirely when fully matched.
-    """
-    resource = ledger.balance(pair.resource).reduce()
-    obligation = ledger.balance(pair.obligation).reduce()
-    if resource.debit < pair.magnitude:
-        raise InsufficientBalanceError(
-            f"{pair.resource} holds debit {resource.debit},"
-            f" needs {pair.magnitude}"
-        )
-    if obligation.credit < pair.magnitude:
-        raise InsufficientBalanceError(
-            f"{pair.obligation} holds credit {obligation.credit},"
-            f" needs {pair.magnitude}"
-        )
-    return Transaction(
-        date,
-        description or f"complete activity: {pair.resource} against {pair.obligation}",
-        (
-            Posting(pair.obligation, TAccount.dr(pair.magnitude)),
-            Posting(pair.resource, TAccount.cr(pair.magnitude)),
-        ),
-    )
-
-
-def reclassify(
-    ledger: Ledger,
-    source: AccountPath,
-    target: AccountPath,
-    magnitude: Amount,
-    date: dt.date,
-    description: str | None = None,
-) -> Transaction:
-    """Move a balance between accounts without changing any aggregate.
-
-    Debit-side sources move as [target dr, source cr]; credit-side
-    sources get the mirrored entry. A zero magnitude is rejected as an
-    empty movement.
-    """
-    if not magnitude:
-        raise ValueError("empty movement: reclassify magnitude must be positive")
-    ledger.balance(target)  # target must be a postable leaf
-    net = ledger.balance(source).reduce()
-    if net.debit >= magnitude:
-        postings = (
-            Posting(target, TAccount.dr(magnitude)),
-            Posting(source, TAccount.cr(magnitude)),
-        )
-    elif net.credit >= magnitude:
-        postings = (
-            Posting(target, TAccount.cr(magnitude)),
-            Posting(source, TAccount.dr(magnitude)),
-        )
-    else:
-        raise InsufficientBalanceError(
-            f"{source} holds {net}, cannot move {magnitude}"
-        )
-    return Transaction(
-        date, description or f"reclassify {source} to {target}", postings
-    )
 
 
 @dataclass(frozen=True)

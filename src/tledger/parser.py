@@ -33,7 +33,7 @@ from .chart import AccountPath, Chart
 from .diagnostics import ParseDiagnostic, Severity, SourceSpan
 from .errors import DuplicateAccountError, LedgerError
 from .ledger import Journal, Ledger, Posting, Transaction
-from .matching import MatchingSchedule, ScheduleMode, add_years, build_schedule
+from .matching import MatchingSchedule, ScheduleMode, build_schedule
 
 __all__ = [
     "parse_journal",
@@ -372,10 +372,9 @@ def _check_serializable(journal: Journal):
                 f"description {tx.description!r} is not representable"
             )
     for s in journal.schedules:
-        n = len(s.periods)
-        straight = s.start is not None and s.periods == tuple(
-            (add_years(s.start, k), Amount(1, n)) for k in range(1, n + 1)
-        )
+        straight = s.start is not None and s.periods == build_schedule(
+            s.source, s.counterpart_prefix, s.total, len(s.periods), s.start
+        ).periods
         if not straight:
             raise ValueError("only straight-line schedules have journal syntax")
 
@@ -424,15 +423,29 @@ class FileReport:
         return self.status == "ok"
 
 
+def _inconsistency(tx: Transaction, fallback: SourceSpan) -> ParseDiagnostic:
+    return ParseDiagnostic(
+        Severity.ERROR,
+        "internal inconsistency: tree total is not a zero representative"
+        f" after {tx.date} {tx.description!r}",
+        tx.span or fallback,
+    )
+
+
 def validate_file(
     text: str, file: str = "<journal>", strict: bool = True
 ) -> FileReport:
     """Parse, then replay: every transaction must balance and post cleanly.
 
-    After each posted transaction the whole tree is checked to still be
-    a zero representative; a violation there would be an engine bug and
-    is reported as an internal inconsistency. Problems are aggregated as
-    diagnostics, never thrown. A valid file's report carries its journal.
+    The replay checks the engine as it goes. After each posted
+    transaction, the summed balances of the accounts it touched must
+    equal their sum before plus the transaction's entries, which must
+    form a zero pair: so the change in the tree total is zero. After the
+    replay, unless a step has already failed, the whole tree is checked
+    once to be a zero representative. A violation of either would be an
+    engine bug and is reported as an internal inconsistency. Problems
+    are aggregated as diagnostics, never thrown. A valid file's report
+    carries its journal.
     """
     journal, diagnostics = parse_journal(text, file=file, strict=strict)
     diags = list(diagnostics)
@@ -442,8 +455,13 @@ def validate_file(
     fallback = SourceSpan(file, 1, 1, 1)
     chart, txs = journal.expand()
     ledger = Ledger.empty(chart)
+    zero = TAccount.zero()
     posted = 0
+    last = None  # the last posted transaction
+    consistent = True
     for tx in txs:
+        touched = {p.account for p in tx.postings}
+        before = sum((ledger.balances.get(a, zero) for a in touched), zero)
         try:
             ledger._apply(tx)
         except LedgerError as err:
@@ -452,15 +470,14 @@ def validate_file(
             )
             continue
         posted += 1
-        if not ledger.total().is_zero:
-            diags.append(
-                ParseDiagnostic(
-                    Severity.ERROR,
-                    "internal inconsistency: tree total is not a zero"
-                    f" representative after {tx.date} {tx.description!r}",
-                    tx.span or fallback,
-                )
-            )
+        last = tx
+        step = tx.total()
+        after = sum((ledger.balances[a] for a in touched), zero)
+        if not (step.is_zero and after == before + step):
+            diags.append(_inconsistency(tx, fallback))
+            consistent = False
+    if consistent and last is not None and not ledger.total().is_zero:
+        diags.append(_inconsistency(last, fallback))
     errors = sum(1 for d in diags if d.severity is Severity.ERROR)
     if errors:
         return FileReport(

@@ -3,6 +3,7 @@
 import datetime as dt
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -281,11 +282,59 @@ class TestRenderOptions:
             journal.basis.reciprocal()
         )
         debit_side = sum(
-            (entry.balance().as_fraction for _, entry in stock.nonzero_items()
+            (entry.balance() for _, entry in stock.nonzero_items()
              if entry.debit),
             Fraction(0),
         )
         assert debit_side == 1  # renders as exactly 100%
+
+
+def first_primes(count):
+    primes = []
+    n = 2
+    while len(primes) < count:
+        if all(n % q for q in primes if q * q <= n):
+            primes.append(n)
+        n += 1
+    return primes
+
+
+class TestLargeRationals:
+    """Balances whose terms run past the interpreter's int-string limit."""
+
+    def test_balance_renders_exactly(self, capsys, tmp_path):
+        primes = first_primes(1300)
+        blocks = [
+            f'2020-01-01 "t{i}"\n    a dr 1/{q}\n    b cr 1/{q}\n'
+            for i, q in enumerate(primes)
+        ]
+        f = tmp_path / "coprime.journal"
+        f.write_text("account a\naccount b\n\n" + "\n".join(blocks), encoding="utf-8")
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "balance", str(f))
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        [line] = [ln for ln in out.splitlines() if ln.startswith("  a  ")]
+        want = sum((Fraction(1, q) for q in primes), Fraction(0))
+        sys.set_int_max_str_digits(0)
+        try:
+            assert len(str(want.denominator)) > limit
+            assert line == f"  a  {want}"
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_over_long_literal_is_still_a_parse_error(self, capsys, tmp_path):
+        f = tmp_path / "long.journal"
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        f.write_text(
+            f'account a\naccount b\n\n2020-01-01 "x"\n    a dr {digits}\n    b cr 1\n',
+            encoding="utf-8",
+        )
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "balance", str(f))
+        assert code == 2
+        assert "Exceeds the limit" in err
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestEntryPoint:

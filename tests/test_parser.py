@@ -436,25 +436,27 @@ class TestValidateFile:
         ]
         assert report.transactions == 2
 
-    def test_internal_inconsistency_is_reported(self, monkeypatch):
-        from tledger import Ledger
+    TWO_STEPS = (
+        "account a\naccount b\n\n"
+        '2020-01-01 "first"\n    a dr 1\n    b cr 1\n\n'
+        '2020-01-02 "second"\n    a dr 1\n    b cr 1\n'
+    )
 
-        real_total = Ledger.total
+    def test_internal_inconsistency_is_reported(self, monkeypatch):
+        from tledger import AccountPath, Ledger
+
+        real_apply = Ledger._apply
         calls = []
 
-        def total_off_after_first_transaction(self):
+        def apply_adds_a_debit_on_the_first_transaction(self, tx):
+            real_apply(self, tx)
             calls.append(None)
             if len(calls) == 1:
-                return TAccount.dr(Amount(1))
-            return real_total(self)
+                a = AccountPath.parse("a")
+                self.balances[a] = self.balances[a] + TAccount.dr(Amount(1))
 
-        monkeypatch.setattr(Ledger, "total", total_off_after_first_transaction)
-        text = (
-            "account a\naccount b\n\n"
-            '2020-01-01 "first"\n    a dr 1\n    b cr 1\n\n'
-            '2020-01-02 "second"\n    a dr 1\n    b cr 1\n'
-        )
-        report = validate_file(text)
+        monkeypatch.setattr(Ledger, "_apply", apply_adds_a_debit_on_the_first_transaction)
+        report = validate_file(self.TWO_STEPS)
         assert report.status == "invalid"
         [diag] = report.diagnostics
         assert diag.severity is Severity.ERROR
@@ -464,3 +466,43 @@ class TestValidateFile:
         )
         assert (diag.span.line, diag.span.column) == (4, 1)
         assert report.transactions == 2
+
+    def test_unbalanced_step_past_validation_is_reported(self, monkeypatch):
+        import tledger.ledger
+
+        monkeypatch.setattr(tledger.ledger, "validate_transaction", lambda tx: None)
+        report = validate_file(self.TWO_STEPS.replace("b cr 1", "b cr 2/5", 1))
+        [diag] = report.diagnostics
+        assert diag.message.endswith(" after 2020-01-01 'first'")
+        assert (diag.span.line, diag.span.column) == (4, 1)
+
+    def test_inconsistent_final_total_is_reported(self, monkeypatch):
+        from tledger import Ledger
+
+        monkeypatch.setattr(Ledger, "total", lambda self: TAccount.dr(Amount(1)))
+        report = validate_file(self.TWO_STEPS)
+        assert report.status == "invalid"
+        [diag] = report.diagnostics
+        assert diag.message == (
+            "internal inconsistency: tree total is not a zero representative"
+            " after 2020-01-02 'second'"
+        )
+        assert (diag.span.line, diag.span.column) == (8, 1)
+
+    def test_tree_total_is_taken_once_per_replay(self, monkeypatch):
+        from tledger import Ledger
+
+        real_total = Ledger.total
+        calls = []
+
+        def counted_total(self):
+            calls.append(None)
+            return real_total(self)
+
+        monkeypatch.setattr(Ledger, "total", counted_total)
+        report = validate_file(
+            "account a\naccount b\n\n"
+            "schedule a b 1 over 200 yearly from 2020-01-01 mode direct\n"
+        )
+        assert report.ok and report.transactions == 200
+        assert len(calls) == 1
