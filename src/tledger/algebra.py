@@ -31,9 +31,30 @@ _RATIONAL_RE = re.compile(r"^([0-9]+)/([0-9]+)$")
 _INTEGER_RE = re.compile(r"^[0-9]+$")
 
 
+_CHUNK = 10**600  # below 640, the lowest int-string limit an interpreter accepts
+
+
+def _digits(n: int) -> str:
+    """str(n) for n >= 0, converted in chunks no int-string limit stops."""
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(f"{low:0600d}")
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
+
+
 def _signed(value: Fraction) -> str:
-    """A signed rational as messages and reports show it: +2/5, -4, 0."""
-    return f"+{value}" if value > 0 else str(value)
+    """A signed rational as messages and reports show it: +2/5, -4, 0.
+
+    Exact at any length, whatever the interpreter's int-string limit.
+    """
+    text = _digits(abs(value.numerator))
+    if value.denominator != 1:
+        text = f"{text}/{_digits(value.denominator)}"
+    if value > 0:
+        return f"+{text}"
+    return f"-{text}" if value < 0 else text
 
 
 class Amount:

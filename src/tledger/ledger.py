@@ -8,13 +8,20 @@ summed over an interval they give a flow view. Because each transaction
 is itself a zero pair, a stock at one date plus the flow since then
 reconciles exactly with the stock at any later date.
 
+A journal replays its transactions once, on its first view, and keeps
+each leaf's cumulative pair at every date it moved on. Every view then
+reads that record: a stock is a lookup at the cutoff, a flow the
+difference of two lookups, as the identity above allows.
+
 Journals and ledgers are immutable; every operation returns a new value,
 so derivations may run concurrently over the same journal.
 """
 
 from __future__ import annotations
 
+import copy
 import datetime as dt
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -216,12 +223,6 @@ class Ledger:
             balances[child] = share
         return replace(self, chart=chart, balances=balances)
 
-    def reduced(self) -> Ledger:
-        """Every balance replaced by its canonical representative."""
-        return replace(
-            self, balances={a: t.reduce() for a, t in self.balances.items()}
-        )
-
     def scaled(self, k: Amount) -> Ledger:
         """Every balance scaled by k (basis normalization)."""
         return replace(self, balances={a: t.scale(k) for a, t in self.balances.items()})
@@ -242,6 +243,52 @@ class Ledger:
             if not reduced.is_zero:
                 out.append((account, reduced))
         return out
+
+
+_ZERO = TAccount.zero()
+
+
+def _side_sums(entries) -> tuple[Fraction, Fraction]:
+    """The summed debits and the summed credits of some pairs."""
+    debit = credit = Fraction(0)
+    for entry in entries:
+        debit += entry.debit.as_fraction
+        credit += entry.credit.as_fraction
+    return debit, credit
+
+
+@dataclass(frozen=True)
+class _Replay:
+    """One pass of the replay step over a journal's expanded stream.
+
+    ledger is the final raw state and last the last posted transaction.
+    history maps each leaf to the dates of the posted steps that moved
+    it, in stream order, and to its cumulative raw pair after each of
+    them. faults lists, in stream order, every step that raised (with
+    its error) and every posted step that failed the zero-change check
+    (with None).
+    """
+
+    ledger: Ledger
+    posted: int
+    last: Transaction | None
+    faults: tuple[tuple[Transaction, LedgerError | None], ...]
+    history: dict[AccountPath, tuple[list[dt.date], list[TAccount]]]
+
+    def raise_first(self, after: dt.date | None, through: dt.date) -> None:
+        """Raise the first error of a step dated in (after, through].
+
+        after None means from the first transaction. A step's checks
+        depend only on its transaction and a failed step adds nothing,
+        so this is the error a replay of that window alone would raise.
+        The error is a fresh copy, so the stored one gathers no
+        traceback.
+        """
+        for tx, err in self.faults:
+            if tx.date > through:
+                return
+            if err is not None and (after is None or tx.date > after):
+                raise copy.copy(err)
 
 
 @dataclass(frozen=True)
@@ -285,24 +332,52 @@ class Journal:
             txs.extend(emit_schedule_transactions(schedule))
         return chart, tuple(sorted(txs, key=lambda t: t.date))
 
-    def _fold(self, after: dt.date | None, through: dt.date) -> Ledger:
-        """Replay the transactions dated in (after, through] from zero.
+    @cached_property
+    def _replay(self) -> _Replay:
+        """The replay step run once over expand(): what every view reads.
 
-        after None means from the first transaction. Posting errors
-        carry the offending transaction's location.
+        Each step is checked as it goes: the summed debits and credits
+        of the accounts a posted transaction touched must equal their
+        sums before plus the transaction's entries, which must form a
+        zero pair, so the step leaves the tree total unchanged. The sums
+        are taken side by side on plain Fractions, which is the same
+        componentwise check as on pairs and cheaper.
         """
         chart, txs = self.expand()
         ledger = Ledger.empty(chart)
+        balances = ledger.balances
+        history = {leaf: ([], []) for leaf in balances}
+        faults: list[tuple[Transaction, LedgerError | None]] = []
+        posted, last = 0, None
         for tx in txs:
-            if tx.date > through:
-                break
-            if after is None or tx.date > after:
+            touched = {p.account for p in tx.postings}
+            before = _side_sums(balances.get(a, _ZERO) for a in touched)
+            try:
                 ledger._apply(tx)
-        return ledger
+            except LedgerError as err:
+                faults.append((tx, err.with_traceback(None)))
+                continue
+            posted += 1
+            last = tx
+            for a in touched:
+                dates, sums = history[a]
+                dates.append(tx.date)
+                sums.append(balances[a])
+            debit, credit = _side_sums(p.entry for p in tx.postings)
+            moved = (before[0] + debit, before[1] + credit)
+            if debit != credit or _side_sums(balances[a] for a in touched) != moved:
+                faults.append((tx, None))
+        return _Replay(ledger, posted, last, tuple(faults), history)
 
     def stock_at(self, cutoff: dt.date) -> Ledger:
         """Balance-sheet view: everything dated on or before cutoff, reduced."""
-        return replace(self._fold(None, cutoff).reduced(), as_of=cutoff)
+        replay = self._replay
+        replay.raise_first(None, cutoff)
+        balances = {}
+        for leaf, (dates, sums) in replay.history.items():
+            i = bisect_right(dates, cutoff)
+            balances[leaf] = sums[i - 1].reduce() if i else _ZERO
+        return Ledger(replay.ledger.chart, balances, as_of=cutoff)
 
     def flow_between(self, start: dt.date, end: dt.date) -> Ledger:
         """Flow view: raw componentwise posting sums over (start, end].
@@ -315,7 +390,19 @@ class Journal:
         """
         if start > end:
             raise IntervalError(f"inverted interval: {start} > {end}")
-        return replace(self._fold(start, end), interval=(start, end))
+        replay = self._replay
+        replay.raise_first(start, end)
+        balances = {}
+        for leaf, (dates, sums) in replay.history.items():
+            i, j = bisect_right(dates, start), bisect_right(dates, end)
+            if i == j:
+                balances[leaf] = _ZERO
+            elif i == 0:
+                balances[leaf] = sums[j - 1]
+            else:
+                hi, lo = sums[j - 1], sums[i - 1]
+                balances[leaf] = TAccount(hi.debit - lo.debit, hi.credit - lo.credit)
+        return Ledger(replay.ledger.chart, balances, interval=(start, end))
 
     def reconcile(self, start: dt.date, end: dt.date) -> ReconciliationReport:
         """Check stock(start) + flow(start, end] against stock(end) per account.

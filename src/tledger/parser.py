@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from .algebra import Amount, TAccount
 from .chart import AccountPath, Chart
 from .diagnostics import ParseDiagnostic, Severity, SourceSpan
-from .errors import DuplicateAccountError, LedgerError
-from .ledger import Journal, Ledger, Posting, Transaction
+from .errors import DuplicateAccountError
+from .ledger import Journal, Posting, Transaction
 from .matching import MatchingSchedule, ScheduleMode, build_schedule
 
 __all__ = [
@@ -437,12 +437,11 @@ def validate_file(
 ) -> FileReport:
     """Parse, then replay: every transaction must balance and post cleanly.
 
-    The replay checks the engine as it goes. After each posted
-    transaction, the summed balances of the accounts it touched must
-    equal their sum before plus the transaction's entries, which must
-    form a zero pair: so the change in the tree total is zero. After the
-    replay, unless a step has already failed, the whole tree is checked
-    once to be a zero representative. A violation of either would be an
+    The replay is the journal's own, the one its views read, and it
+    checks the engine as it goes: each posted transaction must leave the
+    tree total unchanged (see Journal._replay). After the replay, unless
+    a step has already failed that check, the whole tree is checked once
+    to be a zero representative. A violation of either would be an
     engine bug and is reported as an internal inconsistency. Problems
     are aggregated as diagnostics, never thrown. A valid file's report
     carries its journal.
@@ -453,30 +452,18 @@ def validate_file(
         n = sum(1 for d in diags if d.severity is Severity.ERROR)
         return FileReport("parse-error", tuple(diags), 0, f"{n} parse error(s)")
     fallback = SourceSpan(file, 1, 1, 1)
-    chart, txs = journal.expand()
-    ledger = Ledger.empty(chart)
-    zero = TAccount.zero()
-    posted = 0
-    last = None  # the last posted transaction
+    replay = journal._replay
     consistent = True
-    for tx in txs:
-        touched = {p.account for p in tx.postings}
-        before = sum((ledger.balances.get(a, zero) for a in touched), zero)
-        try:
-            ledger._apply(tx)
-        except LedgerError as err:
+    for tx, err in replay.faults:
+        if err is None:
+            diags.append(_inconsistency(tx, fallback))
+            consistent = False
+        else:
             diags.append(
                 ParseDiagnostic(Severity.ERROR, str(err), err.span or fallback)
             )
-            continue
-        posted += 1
-        last = tx
-        step = tx.total()
-        after = sum((ledger.balances[a] for a in touched), zero)
-        if not (step.is_zero and after == before + step):
-            diags.append(_inconsistency(tx, fallback))
-            consistent = False
-    if consistent and last is not None and not ledger.total().is_zero:
+    last, posted = replay.last, replay.posted
+    if consistent and last is not None and not replay.ledger.total().is_zero:
         diags.append(_inconsistency(last, fallback))
     errors = sum(1 for d in diags if d.severity is Severity.ERROR)
     if errors:

@@ -5,6 +5,7 @@ stay independent of the pair operations they verify: equivalence via
 the cross-sum definition, balances via plain signed subtraction.
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tledger import Amount, TAccount
+from tledger.algebra import _signed
 
 
 def cross_sum_equal(a: TAccount, b: TAccount) -> bool:
@@ -96,6 +98,32 @@ class TestAmount:
         assert Amount(2, 5).reciprocal() == Amount(5, 2)
         with pytest.raises(ZeroDivisionError):
             Amount(0).reciprocal()
+
+
+class TestSignedText:
+    """_signed renders residuals in messages, past the int-string limit too."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            Fraction(0),
+            Fraction(-4),
+            Fraction(2, 5),
+            Fraction(-2, 5),
+            Fraction(10**600),
+            Fraction(10**600 - 1, 7),
+            Fraction(-(10**1200) - 10**5, 10**600 + 1),
+            Fraction(10**5000 + 3, 10**4400 + 1),
+        ],
+    )
+    def test_matches_str_without_the_limit(self, value):
+        limit = sys.get_int_max_str_digits()
+        text = _signed(value)
+        sys.set_int_max_str_digits(0)
+        try:
+            assert text == (f"+{value}" if value > 0 else str(value))
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestExamples:

@@ -215,6 +215,34 @@ class TestOneParsePerCommand:
         assert len(calls) == 1
 
 
+class TestOneReplayPerCommand:
+    @pytest.mark.parametrize("command", ["balance", "equation", "flows"])
+    def test_journal_is_replayed_once(self, capsys, monkeypatch, tmp_path, command):
+        import random
+
+        from journalgen import random_journal
+        from tledger import Ledger, parse_journal, serialize_journal
+
+        rng = random.Random(606)
+        journal = random_journal(rng)
+        while not journal.schedules:
+            journal = random_journal(rng)
+        f = tmp_path / "generated.journal"
+        f.write_text(serialize_journal(journal), encoding="utf-8")
+        _, txs = parse_journal(f.read_text(encoding="utf-8"))[0].expand()
+        real_apply = Ledger._apply
+        calls = []
+
+        def counted(self, tx):
+            calls.append(tx)
+            return real_apply(self, tx)
+
+        monkeypatch.setattr(Ledger, "_apply", counted)
+        code, _, _ = run(capsys, command, str(f))
+        assert code == 0
+        assert calls == list(txs)
+
+
 class TestSchedule:
     def test_fixture_schedule_prints_five_blocks(self, capsys, fixture_file):
         code, out, _ = run(capsys, "schedule", fixture_file)
@@ -322,6 +350,40 @@ class TestLargeRationals:
             assert line == f"  a  {want}"
         finally:
             sys.set_int_max_str_digits(limit)
+
+    def test_huge_residual_is_a_diagnostic(self, capsys, tmp_path):
+        from tledger import ImbalanceError, parse_journal, validate_file
+
+        primes = first_primes(1300)
+        postings = "".join(f"    a dr 1/{q}\n" for q in primes)
+        text = f'account a\naccount b\n\n2020-01-01 "x"\n{postings}    b cr 1\n'
+        limit = sys.get_int_max_str_digits()
+        residual = sum((Fraction(1, q) for q in primes), Fraction(-1))
+        sys.set_int_max_str_digits(0)
+        try:
+            assert len(str(residual.numerator)) > limit
+            message = f"unbalanced transaction: residual +{residual}"
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+        report = validate_file(text)
+        assert report.status == "invalid"
+        [diag] = report.diagnostics
+        assert diag.message == message
+        assert (diag.span.line, diag.span.column) == (4, 1)
+
+        f = tmp_path / "huge.journal"
+        f.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "check", str(f))
+        assert (code, out) == (1, "")
+        assert err == f"{f}:4:1: error: {message}\n"
+        assert sys.get_int_max_str_digits() == limit
+
+        journal, _ = parse_journal(text)
+        with pytest.raises(ImbalanceError) as raised:
+            journal.stock_at(dt.date(2020, 1, 1))
+        assert raised.value.residual == residual
+        assert raised.value.span.line == 4
 
     def test_over_long_literal_is_still_a_parse_error(self, capsys, tmp_path):
         f = tmp_path / "long.journal"
