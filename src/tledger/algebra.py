@@ -44,17 +44,20 @@ def _digits(n: int) -> str:
     return "".join(reversed(chunks))
 
 
-def _signed(value: Fraction) -> str:
-    """A signed rational as messages and reports show it: +2/5, -4, 0.
+def _rational(value: Fraction) -> str:
+    """A rational as text everywhere in tledger: 2/5, -4, 0.
 
     Exact at any length, whatever the interpreter's int-string limit.
     """
     text = _digits(abs(value.numerator))
     if value.denominator != 1:
         text = f"{text}/{_digits(value.denominator)}"
-    if value > 0:
-        return f"+{text}"
     return f"-{text}" if value < 0 else text
+
+
+def _signed(value: Fraction) -> str:
+    """A signed rational as messages and reports show it: +2/5, -4, 0."""
+    return f"+{_rational(value)}" if value > 0 else _rational(value)
 
 
 class Amount:
@@ -77,7 +80,7 @@ class Amount:
                 raise ValueError("zero denominator")
             value = Fraction(numerator, denominator)
         if value < 0:
-            raise ValueError(f"amount must be non-negative, got {value}")
+            raise ValueError(f"amount must be non-negative, got {_rational(value)}")
         self._value = value
 
     @classmethod
@@ -169,12 +172,10 @@ class Amount:
 
     def __str__(self) -> str:
         # Reduced rational; integers drop the "/1".
-        if self._value.denominator == 1:
-            return str(self._value.numerator)
-        return f"{self._value.numerator}/{self._value.denominator}"
+        return _rational(self._value)
 
     def __repr__(self) -> str:
-        return f"Amount({self._value.numerator}, {self._value.denominator})"
+        return f"Amount({_digits(self.numerator)}, {_digits(self.denominator)})"
 
     def to_decimal(self, places: int) -> str:
         """Render at a fixed number of decimal places, rounding half to even.
@@ -190,8 +191,8 @@ class Amount:
         if double > scaled.denominator or (double == scaled.denominator and q % 2):
             q += 1
         if places == 0:
-            return str(q)
-        digits = str(q).rjust(places + 1, "0")
+            return _digits(q)
+        digits = _digits(q).rjust(places + 1, "0")
         return f"{digits[:-places]}.{digits[-places:]}"
 
 

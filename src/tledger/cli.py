@@ -15,17 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra import Amount, TAccount, _signed
-from .chart import AccountPath
+from .algebra import Amount, TAccount, _rational, _signed
 from .ledger import Journal, Ledger
 from .matching import emit_schedule_transactions
 from .parser import FileReport, format_transaction_block, validate_file
 
 __all__ = ["RenderOptions", "main", "entry"]
-
-# Interpreters before 3.10.7 have no int-string limit to lift.
-_get_int_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
-_set_int_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
 
 
 @dataclass(frozen=True)
@@ -48,9 +43,7 @@ class RenderOptions:
 
 def _fmt_fraction(value: Fraction, places: int | None) -> str:
     if places is None:
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
+        return _rational(value)
     sign = "-" if value < 0 else ""
     return sign + Amount(abs(value)).to_decimal(places)
 
@@ -90,9 +83,7 @@ def _load_valid(path: str, strict: bool) -> tuple[FileReport | None, int]:
     """Parse and fully validate, printing the diagnostics.
 
     Returns the report (None if the file cannot be read) and the exit
-    code its status maps to. The file is parsed under the interpreter's
-    int-string limit; once it is valid, the limit is lifted so that
-    reports render exact rationals of any length.
+    code its status maps to.
     """
     text = _read_file(path)
     if text is None:
@@ -104,7 +95,6 @@ def _load_valid(path: str, strict: bool) -> tuple[FileReport | None, int]:
         return report, 2
     if report.status == "invalid":
         return report, 1
-    _set_int_limit(0)
     return report, 0
 
 
@@ -146,21 +136,25 @@ def cmd_balance(args, opts: RenderOptions) -> int:
     if ledger is None:
         return 1
 
-    chart = ledger.chart
-    lines: list[str] = [f"balance as of {cutoff.isoformat()}"]
-
-    def visit(path: AccountPath, depth: int) -> list[str]:
-        agg = ledger.aggregate(path).reduce()
-        child_lines: list[str] = []
-        for child in chart.children(path):
-            child_lines.extend(visit(child, depth + 1))
-        if not (opts.show_zero or not agg.is_zero or child_lines):
-            return []
-        value = _fmt_value(agg.balance(), opts)
-        return [f"{'  ' * (depth + 1)}{path.leaf}  {value}"] + child_lines
-
-    for root in chart.roots():
-        lines.extend(visit(root, 0))
+    # Sorted paths are in pre-order: a parent sorts right before its
+    # subtree. One pass from the end adds every node's balance and
+    # visibility into its parent; a node shows if it is a nonzero leaf
+    # (any leaf with --show-zero) or has a child that shows.
+    nodes = sorted(ledger.chart.nodes)
+    balances = ledger.balances
+    value = {p: balances[p].balance() if p in balances else Fraction(0) for p in nodes}
+    shown = {p: opts.show_zero or value[p] != 0 for p in nodes}
+    for path in reversed(nodes):
+        parent = path.parent
+        if parent is not None:
+            value[parent] += value[path]
+            shown[parent] = shown[parent] or shown[path]
+    lines = [f"balance as of {cutoff.isoformat()}"]
+    lines.extend(
+        f"{'  ' * path.depth}{path.leaf}  {_fmt_value(value[path], opts)}"
+        for path in nodes
+        if shown[path]
+    )
     lines.append(_zero_check_line(ledger.total(), opts.places))
     print("\n".join(lines))
     return 0
@@ -316,14 +310,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    limit = _get_int_limit()
-    try:
-        return _run(argv)
-    finally:
-        _set_int_limit(limit)
-
-
-def _run(argv: list[str] | None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .algebra import Amount, TAccount
+from .algebra import Amount, TAccount, _rational
 from .chart import AccountPath
 from .ledger import Ledger, Posting, Transaction
 
@@ -79,7 +79,7 @@ class MatchingSchedule:
             last = date
             running += fraction.as_fraction
         if running != 1:
-            raise ValueError(f"schedule fractions must sum to 1, got {running}")
+            raise ValueError(f"schedule fractions must sum to 1, got {_rational(running)}")
 
 
 def add_years(date: dt.date, years: int) -> dt.date:

@@ -64,6 +64,17 @@ def random_transaction(
     return Transaction(date, f"generated {label}", tuple(postings))
 
 
+def first_primes(count: int) -> list[int]:
+    """The first count primes, for sums whose denominators grow fastest."""
+    primes: list[int] = []
+    n = 2
+    while len(primes) < count:
+        if all(n % q for q in primes if q * q <= n):
+            primes.append(n)
+        n += 1
+    return primes
+
+
 def random_journal(
     rng: random.Random, max_accounts: int = 50, max_transactions: int = 200
 ) -> Journal:

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tledger import Amount, TAccount
-from tledger.algebra import _signed
+from tledger.algebra import _rational, _signed
 
 
 def cross_sum_equal(a: TAccount, b: TAccount) -> bool:
@@ -101,7 +101,7 @@ class TestAmount:
 
 
 class TestSignedText:
-    """_signed renders residuals in messages, past the int-string limit too."""
+    """_rational and _signed render every rational, past the int-string limit too."""
 
     @pytest.mark.parametrize(
         "value",
@@ -118,10 +118,29 @@ class TestSignedText:
     )
     def test_matches_str_without_the_limit(self, value):
         limit = sys.get_int_max_str_digits()
-        text = _signed(value)
+        text, plain = _signed(value), _rational(value)
         sys.set_int_max_str_digits(0)
         try:
             assert text == (f"+{value}" if value > 0 else str(value))
+            assert plain == str(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_amount_text_past_the_limit(self):
+        big = Fraction(10**5000 + 3, 7)
+        amount = Amount(big)
+        limit = sys.get_int_max_str_digits()
+        text, rep, dec = str(amount), repr(amount), amount.to_decimal(3)
+        with pytest.raises(ValueError) as negative:
+            Amount(-big)
+        sys.set_int_max_str_digits(0)
+        try:
+            assert text == str(big)
+            assert rep == f"Amount({big.numerator}, {big.denominator})"
+            q = round(big * 1000)  # half to even, as to_decimal rounds
+            assert dec == f"{q // 1000}.{q % 1000:03d}"
+            assert str(negative.value) == f"amount must be non-negative, got {-big}"
+            assert str(TAccount.dr(amount)) == f"({big}, 0)"
         finally:
             sys.set_int_max_str_digits(limit)
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from journalgen import first_primes
 from tledger.cli import main
 
 
@@ -317,16 +318,6 @@ class TestRenderOptions:
         assert debit_side == 1  # renders as exactly 100%
 
 
-def first_primes(count):
-    primes = []
-    n = 2
-    while len(primes) < count:
-        if all(n % q for q in primes if q * q <= n):
-            primes.append(n)
-        n += 1
-    return primes
-
-
 class TestLargeRationals:
     """Balances whose terms run past the interpreter's int-string limit."""
 
@@ -397,6 +388,134 @@ class TestLargeRationals:
         assert code == 2
         assert "Exceeds the limit" in err
         assert sys.get_int_max_str_digits() == limit
+
+
+class TestInterpreterLimitUntouched:
+    """Reports render exactly without ever lifting the int-string limit."""
+
+    def test_every_command_renders_past_the_limit(self, capsys, monkeypatch, tmp_path):
+        from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+
+        primes = first_primes(1300)
+        blocks = [
+            f'2020-01-01 "t{i}"\n    a dr 1/{q}\n    b cr 1/{q}\n'
+            for i, q in enumerate(primes)
+        ]
+        f = tmp_path / "coprime.journal"
+        f.write_text("account a\naccount b\n\n" + "\n".join(blocks), encoding="utf-8")
+        want = sum((Fraction(1, q) for q in primes), Fraction(0))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            x = str(want)
+            assert len(str(want.denominator)) > limit
+            with localcontext() as ctx:
+                ctx.prec = 50
+                exact = Decimal(want.numerator) / Decimal(want.denominator)
+            d = str(exact.quantize(Decimal("0.01"), rounding=ROUND_HALF_EVEN))
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+        def refuse(digits):
+            raise AssertionError("the int-string limit must stay as it is")
+
+        # every module-level alias too, so a copy taken at import is caught
+        original = sys.set_int_max_str_digits
+        monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
+        for name, module in list(sys.modules.items()):
+            if name == "tledger" or name.startswith("tledger."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, refuse)
+
+        expected = {
+            ("check",): "ok: 1300 transactions, root ≡ 0\n",
+            ("schedule",): "",
+            ("equation",): f"0 = ({x}, 0)_a + (0, {x})_b\ntotal  ({x}, {x})  = 0  ok\n",
+            ("flows",): (
+                f"flows from 2019-12-31 to 2020-01-01\n  a  dr {x}\n  b  cr {x}\n"
+                f"total  ({x}, {x})  = 0  ok\n"
+            ),
+            ("balance",): (
+                f"balance as of 2020-01-01\n  a  {x}\n  b  -{x}\n"
+                f"total  ({x}, {x})  = 0  ok\n"
+            ),
+            ("balance", "--decimal", "2"): (
+                f"balance as of 2020-01-01\n  a  {d}\n  b  -{d}\n"
+                f"total  ({d}, {d})  = 0  ok\n"
+            ),
+        }
+        for command, want_out in expected.items():
+            code, out, err = run(capsys, command[0], str(f), *command[1:])
+            assert (code, err) == (0, ""), command
+            assert out == want_out, command
+            assert sys.get_int_max_str_digits() == limit
+
+
+class TestOnePassBalanceTree:
+    def test_no_per_node_chart_queries(self, capsys, monkeypatch, tmp_path):
+        import random
+
+        from journalgen import random_chart, random_transaction
+        from tledger import AccountPath, Chart, Journal, Ledger, serialize_journal
+
+        rng = random.Random(707)
+        chart, leaves = random_chart(rng, 120)
+        txs = [
+            random_transaction(rng, leaves, dt.date(2020, 1, 1 + i % 28), i)
+            for i in range(40)
+        ]
+        f = tmp_path / "wide.journal"
+        f.write_text(serialize_journal(Journal(chart, tuple(txs))), encoding="utf-8")
+
+        calls = {"aggregate": 0, "children": 0, "leaves_under": 0, "paths": 0}
+
+        def counted(owner, name, key):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(Ledger, "aggregate", "aggregate")
+        counted(Chart, "children", "children")
+        counted(Chart, "leaves_under", "leaves_under")
+        counted(AccountPath, "__post_init__", "paths")
+
+        assert run(capsys, "check", str(f))[0] == 0
+        parse_and_replay = calls["paths"]
+        calls["paths"] = 0
+        code, out, _ = run(capsys, "balance", str(f), "--show-zero")
+        assert code == 0
+        assert len(out.splitlines()) == len(chart) + 2
+        assert calls["aggregate"] == calls["children"] == calls["leaves_under"] == 0
+        # the report itself builds at most one path per node: its parent
+        assert calls["paths"] - parse_and_replay <= len(chart)
+
+
+class TestDeepPaths:
+    def test_1200_segment_path(self, capsys, tmp_path):
+        spine = [f"s{k}" for k in range(1200)]
+        deep = ":".join(spine)
+        f = tmp_path / "deep.journal"
+        f.write_text(
+            f"account {deep}\naccount other\n\n"
+            f'2020-01-01 "deep"\n    {deep} dr 5/2\n    other cr 5/2\n',
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "balance", str(f))
+        assert (code, err) == (0, "")
+        assert out.splitlines() == (
+            ["balance as of 2020-01-01", "  other  -5/2"]
+            + [f"{'  ' * (k + 1)}s{k}  5/2" for k in range(1200)]
+            + ["total  (5/2, 5/2)  = 0  ok"]
+        )
+        for command in ("check", "equation", "flows"):
+            code, out, err = run(capsys, command, str(f))
+            assert (code, err) == (0, ""), command
+            assert out
 
 
 class TestEntryPoint:

@@ -7,11 +7,12 @@ basis units so every assertion is an exact rational comparison.
 
 import datetime as dt
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from journalgen import random_journal
+from journalgen import first_primes, random_journal
 from oracles import SignedLedgerOracle, brute_flow
 from tledger import (
     AccountPath,
@@ -322,6 +323,45 @@ class TestRefine:
         )
         for path, value in before.items():
             assert refined.aggregate(path) == value
+
+
+class TestPastTheIntStringLimit:
+    """Text for a stock whose terms run past the int-string limit."""
+
+    def test_refine_mismatch_and_pair_text_are_exact(self):
+        primes = first_primes(1300)
+        chart = Chart.empty().declare_all([p("a"), p("b")])
+        txs = tuple(
+            Transaction(
+                D(2020, 1, 1),
+                f"t{i}",
+                (
+                    Posting(p("a"), TAccount.dr(Amount(1, q))),
+                    Posting(p("b"), TAccount.cr(Amount(1, q))),
+                ),
+            )
+            for i, q in enumerate(primes)
+        )
+        stock = Journal(chart, txs).stock_at(D(2020, 1, 1))
+        want = sum((Fraction(1, q) for q in primes), Fraction(0))
+        limit = sys.get_int_max_str_digits()
+        entry = stock.balances[p("a")]
+        text, rep = str(entry), repr(entry.debit)
+        with pytest.raises(PartitionMismatchError) as raised:
+            stock.refine(p("a"), [(p("a:x"), TAccount.dr(amt(1)))])
+        assert raised.value.residual == 1 - want < 0
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            assert len(str(want.denominator)) > limit
+            assert text == f"({want}, 0)"
+            assert rep == f"Amount({want.numerator}, {want.denominator})"
+            assert str(raised.value) == (
+                f"shares sum to (1, 0), parent holds ({want}, 0)"
+                f" (signed residual {1 - want})"
+            )
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestStockAt:

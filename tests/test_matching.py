@@ -1,8 +1,12 @@
 """Matching schedules, and the scenario's settlement and reclassification."""
 
 import datetime as dt
+import sys
+from fractions import Fraction
 
 import pytest
+
+from journalgen import first_primes
 
 from tledger import (
     AccountPath,
@@ -75,6 +79,23 @@ class TestBuildSchedule:
                 p("a"), p("b"), amt(1),
                 ((D(2021, 1, 1), Amount(1, 2)), (D(2022, 1, 1), Amount(1, 3))),
             )
+
+    def test_sum_message_is_exact_past_the_limit(self):
+        primes = first_primes(1300)
+        periods = tuple(
+            (D(2021, 1, 1) + dt.timedelta(days=k), Amount(1, q))
+            for k, q in enumerate(primes)
+        )
+        with pytest.raises(ValueError) as raised:
+            MatchingSchedule(p("a"), p("b"), amt(1), periods)
+        running = sum((Fraction(1, q) for q in primes), Fraction(0))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert len(str(running.denominator)) > limit
+            assert str(raised.value) == f"schedule fractions must sum to 1, got {running}"
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_period_dates_strictly_increasing(self):
         with pytest.raises(ValueError, match="strictly increasing"):
