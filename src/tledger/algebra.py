@@ -36,6 +36,8 @@ _CHUNK = 10**600  # below 640, the lowest int-string limit an interpreter accept
 
 def _digits(n: int) -> str:
     """str(n) for n >= 0, converted in chunks no int-string limit stops."""
+    if n < _CHUNK:
+        return str(n)
     chunks = []
     while n >= _CHUNK:
         n, low = divmod(n, _CHUNK)

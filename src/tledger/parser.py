@@ -278,6 +278,14 @@ class _FileParser:
                 self.span(toks[3][1], len(toks[3][0])),
             )
             return
+        if counterpart.segments[: len(source.segments)] == source.segments:
+            # period accounts under the source would make it interior
+            self.error(
+                f"schedule counterpart {counterpart} must not be its source"
+                " or lie under it",
+                self.span(toks[2][1], len(toks[2][0])),
+            )
+            return
         ok = self.resolve_account(source, toks[1][1], toks[1][0])
         ok = self.resolve_account(counterpart, toks[2][1], toks[2][0]) and ok
         if not ok:
@@ -346,9 +354,11 @@ def parse_journal(
 
     The journal is None whenever any error-severity diagnostic was
     produced. Loose mode (strict=False) declares accounts implicitly on
-    first use and downgrades that to a warning.
+    first use and downgrades that to a warning. One leading byte order
+    mark (U+FEFF) is dropped, so a file saved as "UTF-8 with BOM" reads
+    like the same file without it.
     """
-    return _FileParser(text, file, strict).run()
+    return _FileParser(text.removeprefix("\ufeff"), file, strict).run()
 
 
 def _posting_line(posting: Posting) -> str:

@@ -51,6 +51,15 @@ class TestCheck:
         assert code == 2
         assert "cannot read" in err
 
+    def test_utf8_with_byte_order_mark(self, capsys, tmp_path):
+        f = tmp_path / "bom.journal"
+        f.write_text(
+            'account a\naccount b\n\n2020-01-01 "x"\n    a dr 1\n    b cr 1\n',
+            encoding="utf-8-sig",
+        )
+        assert f.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert run(capsys, "check", str(f)) == (0, "ok: 1 transactions, root ≡ 0\n", "")
+
     def test_loose_mode(self, capsys, tmp_path):
         f = tmp_path / "loose.journal"
         f.write_text('2020-01-01 "x"\n    a dr 1\n    b cr 1\n', encoding="utf-8")
@@ -221,8 +230,9 @@ class TestOneReplayPerCommand:
     def test_journal_is_replayed_once(self, capsys, monkeypatch, tmp_path, command):
         import random
 
+        import tledger.ledger
         from journalgen import random_journal
-        from tledger import Ledger, parse_journal, serialize_journal
+        from tledger import parse_journal, serialize_journal
 
         rng = random.Random(606)
         journal = random_journal(rng)
@@ -231,14 +241,14 @@ class TestOneReplayPerCommand:
         f = tmp_path / "generated.journal"
         f.write_text(serialize_journal(journal), encoding="utf-8")
         _, txs = parse_journal(f.read_text(encoding="utf-8"))[0].expand()
-        real_apply = Ledger._apply
+        real_step = tledger.ledger._replay_step
         calls = []
 
-        def counted(self, tx):
+        def counted(chart, pairs, tx, values):
             calls.append(tx)
-            return real_apply(self, tx)
+            return real_step(chart, pairs, tx, values)
 
-        monkeypatch.setattr(Ledger, "_apply", counted)
+        monkeypatch.setattr(tledger.ledger, "_replay_step", counted)
         code, _, _ = run(capsys, command, str(f))
         assert code == 0
         assert calls == list(txs)

@@ -66,6 +66,16 @@ class TestGrammar:
         journal, _ = parse_ok(text)
         assert len(journal.transactions) == 1
 
+    def test_leading_byte_order_mark_is_dropped(self):
+        text = 'account a\naccount b\n\n2020-01-01 "x"\n    a dr 1\n    b cr 1\n'
+        report = validate_file("\ufeff" + text)
+        assert (report.status, report.diagnostics, report.transactions) == ("ok", (), 1)
+        assert report.journal == parse_journal(text)[0]
+        # only one is dropped; a second is part of the first token
+        err = errors_of("\ufeff\ufeff" + text)[0]
+        assert err.message == "unknown directive '\\ufeffaccount'"
+        assert (err.span.line, err.span.column) == (1, 1)
+
     def test_debit_credit_longhand(self):
         text = 'account a\naccount b\n\n2020-01-01 "x"\n    a debit 1\n    b credit 1\n'
         journal, _ = parse_ok(text)
@@ -188,6 +198,30 @@ class TestDiagnostics:
         [err] = errs
         assert err.message == "schedule runs past the year 9999"
         assert (err.span.line, err.span.column, err.span.length) == (3, 21, len(count))
+
+    @pytest.mark.parametrize("prefix", ["a", "a:x", "a:x:y"])
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_schedule_prefix_at_or_under_its_source_is_one_diagnostic(
+        self, prefix, strict
+    ):
+        text = (
+            "account a\naccount b\n"
+            f"schedule a {prefix} 1 over 2 yearly from 2020-01-01 mode direct\n"
+        )
+        journal, diagnostics = parse_journal(text, strict=strict)
+        assert journal is None
+        assert [(d.message, d.span.line, d.span.column, d.span.length) for d in diagnostics] == [
+            (f"schedule counterpart {prefix} must not be its source or lie under it", 3, 12, len(prefix))
+        ]
+        assert len(validate_file(text, strict=strict).diagnostics) == 1
+
+    def test_schedule_prefix_beside_or_above_its_source_is_accepted(self):
+        journal, _ = parse_ok(
+            "account a\naccount a:x\naccount ab\n"
+            "schedule a:x a 1 over 2 yearly from 2020-01-01 mode direct\n"
+            "schedule a:x ab 1 over 2 yearly from 2020-01-01 mode direct\n"
+        )
+        assert len(journal.schedules) == 2
 
     def test_schedule_ending_in_year_9999_is_accepted(self):
         journal, _ = parse_ok(
@@ -443,19 +477,22 @@ class TestValidateFile:
     )
 
     def test_internal_inconsistency_is_reported(self, monkeypatch):
-        from tledger import AccountPath, Ledger
+        import tledger.ledger
+        from tledger import AccountPath
 
-        real_apply = Ledger._apply
+        real_step = tledger.ledger._replay_step
         calls = []
 
-        def apply_adds_a_debit_on_the_first_transaction(self, tx):
-            real_apply(self, tx)
+        def step_adds_a_debit_on_the_first_transaction(chart, pairs, tx, values):
+            real_step(chart, pairs, tx, values)
             calls.append(None)
             if len(calls) == 1:
-                a = AccountPath.parse("a")
-                self.balances[a] = self.balances[a] + TAccount.dr(Amount(1))
+                debit, credit = pairs[AccountPath.parse("a")]
+                pairs[AccountPath.parse("a")] = (debit + 1, credit)
 
-        monkeypatch.setattr(Ledger, "_apply", apply_adds_a_debit_on_the_first_transaction)
+        monkeypatch.setattr(
+            tledger.ledger, "_replay_step", step_adds_a_debit_on_the_first_transaction
+        )
         report = validate_file(self.TWO_STEPS)
         assert report.status == "invalid"
         [diag] = report.diagnostics
