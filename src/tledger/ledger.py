@@ -17,8 +17,7 @@ The replay runs on exact integers. The group laws hold for any common
 scaling of both sides, so with D the least common multiple of every
 posting amount's denominator, each amount n/d is the integer n·(D/d)
 and a cumulative pair is two integers over D. A view turns into
-TAccounts only the pairs it returns. When D has more digits than
-_MAX_SCALE_DIGITS, the same loop runs on the Fractions themselves.
+TAccounts only the pairs it returns.
 
 Journals and ledgers are immutable; every operation returns a new value,
 so derivations may run concurrently over the same journal.
@@ -256,49 +255,31 @@ class Ledger:
 
 _ZERO = TAccount.zero()
 
-# The replay's integer scale D may have at most this many digits. Each
-# cumulative side in a leaf's history is an integer of about digits(D),
-# whatever the leaf's own amounts, so history memory grows with
-# digits(D) × steps, while a Fraction stays as large as its own leaf's
-# denominators. On 20 000 steps with ten huge odd denominators, integers
-# replayed 1.9-3.6× faster than Fractions at every D tried, but their peak
-# memory was 19 % above the Fractions' at 620 digits, 32 % at 1000,
-# 61 % at 2000 and 107 % at 4000 (sweep in CHANGES.md). n/p amounts over
-# the first 1000 primes give D of about 600 digits.
-_MAX_SCALE_DIGITS = 1000
-
-
-def _scaled_stream(txs, leaves: dict) -> tuple[int, Iterator]:
+def _scaled_stream(txs) -> tuple[int, Iterator]:
     """The scale D, and each transaction with its postings' values over D.
 
     D is the lcm of every posting amount's denominator, and a value is
-    an (account, debit, credit) triple of integers n·(D/d). If D has
-    more than _MAX_SCALE_DIGITS digits, D is 1 and the values are the
-    amounts' Fractions. A posting to a leaf names the leaves key itself,
-    so the replay's lookups find it by identity. Values are made one
-    transaction at a time, as the replay reaches it.
+    an (account, debit, credit) triple of integers n·(D/d). Values are
+    made one transaction at a time, as the replay reaches it.
     """
     def sides(p: Posting) -> tuple[Fraction, Fraction]:
         return p.entry.debit.as_fraction, p.entry.credit.as_fraction
 
     denominators = {v.denominator for tx in txs for p in tx.postings for v in sides(p)}
-    scale, limit = 1, 10**_MAX_SCALE_DIGITS
-    for den in denominators:
-        scale = lcm(scale, den)
-        if scale >= limit:
-            scale, up = 1, None
-            break
-    else:
-        up = {den: scale // den for den in denominators}
+    scale = lcm(*denominators)
+    up = {den: scale // den for den in denominators}
 
-    def values(tx: Transaction) -> list:
+    def values(tx: Transaction) -> list[tuple[AccountPath, int, int]]:
         out = []
         for p in tx.postings:
             debit, credit = sides(p)
-            if up is not None:
-                debit = debit.numerator * up[debit.denominator]
-                credit = credit.numerator * up[credit.denominator]
-            out.append((leaves.get(p.account, p.account), debit, credit))
+            out.append(
+                (
+                    p.account,
+                    debit.numerator * up[debit.denominator],
+                    credit.numerator * up[credit.denominator],
+                )
+            )
         return out
 
     return scale, ((tx, values(tx)) for tx in txs)
@@ -330,25 +311,24 @@ def _replay_step(chart: Chart, pairs: dict, tx: Transaction, values: list) -> No
 class _Replay:
     """One pass of the replay step over a journal's expanded stream.
 
-    Sides are values over scale: integers, or Fractions with scale 1.
-    pairs holds each leaf's final raw pair, and last is the last posted
-    transaction. history maps each leaf to the dates of the posted
-    steps that moved it, in stream order, and to its cumulative pair
-    after each of them. faults lists, in stream order, every step that
-    raised (with its error) and every posted step that failed the
-    zero-change check (with None).
+    Sides are integers over scale. pairs holds each leaf's final raw
+    pair, and last is the last posted transaction. history maps each
+    leaf to the dates of the posted steps that moved it, in stream
+    order, and to its cumulative pair after each of them. faults lists,
+    in stream order, every step that raised (with its error) and every
+    posted step that failed the zero-change check (with None).
     """
 
     chart: Chart
     scale: int
-    pairs: dict[AccountPath, tuple]
+    pairs: dict[AccountPath, tuple[int, int]]
     posted: int
     last: Transaction | None
     faults: tuple[tuple[Transaction, LedgerError | None], ...]
-    history: dict[AccountPath, tuple[list[dt.date], list[tuple]]]
+    history: dict[AccountPath, tuple[list[dt.date], list[tuple[int, int]]]]
 
-    def taccount(self, debit, credit) -> TAccount:
-        """A pair of values over scale as a TAccount; a side below zero raises."""
+    def taccount(self, debit: int, credit: int) -> TAccount:
+        """A pair of integers over scale as a TAccount; a side below zero raises."""
         return TAccount(Amount(debit, self.scale), Amount(credit, self.scale))
 
     @cached_property
@@ -423,9 +403,8 @@ class Journal:
         unchanged. Both checks compare the scaled values exactly.
         """
         chart, txs = self.expand()
-        leaves = {leaf: leaf for leaf in chart.leaves()}
-        scale, stream = _scaled_stream(txs, leaves)
-        pairs = {leaf: (0, 0) for leaf in leaves}
+        scale, stream = _scaled_stream(txs)
+        pairs = {leaf: (0, 0) for leaf in chart.leaves()}
         history = {leaf: ([], []) for leaf in pairs}
         faults: list[tuple[Transaction, LedgerError | None]] = []
         posted, last = 0, None

@@ -278,7 +278,7 @@ class _FileParser:
                 self.span(toks[3][1], len(toks[3][0])),
             )
             return
-        if counterpart.segments[: len(source.segments)] == source.segments:
+        if counterpart == source or source.is_ancestor_of(counterpart):
             # period accounts under the source would make it interior
             self.error(
                 f"schedule counterpart {counterpart} must not be its source"

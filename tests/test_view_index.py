@@ -3,9 +3,7 @@
 Journal.stock_at, flow_between and reconcile look their answers up in
 the record the journal's single replay keeps. Each test here replays
 the same transactions one Ledger.post at a time instead, and requires
-the same values, or the same error, for every window it probes. The
-replay runs on scaled integers, or on Fractions past a digit cap; the
-value_type fixture runs a test on both.
+the same values, or the same error, for every window it probes.
 """
 
 import dataclasses
@@ -34,28 +32,6 @@ from tledger import (
 )
 
 DAY = dt.timedelta(days=1)
-
-
-@pytest.fixture
-def value_type(request, monkeypatch):
-    """The replay's value type: scaled integers, or Fractions forced by a zero cap."""
-    if request.param is Fraction:
-        monkeypatch.setattr(tledger.ledger, "_MAX_SCALE_DIGITS", 0)
-    return request.param
-
-
-def on_both_value_types(params, ids) -> list:
-    """Each parameter on integers, under its own id, then on Fractions."""
-    return [
-        pytest.param(param, kind, id=name if kind is int else f"{name}-Fraction")
-        for kind in (int, Fraction)
-        for param, name in zip(params, ids)
-    ]
-
-
-def value_types(journal: Journal) -> set[type]:
-    """The types of the nonzero sides the journal's replay holds."""
-    return {type(v) for pair in journal._replay.pairs.values() for v in pair if v}
 
 
 def scheduled_journals(seed: int, count: int) -> list[Journal]:
@@ -100,14 +76,8 @@ def outcome(view):
         return type(err), str(err), err.span
 
 
-@pytest.mark.parametrize(
-    "journal, value_type",
-    on_both_value_types(JOURNALS, [f"{len(j.transactions)}tx" for j in JOURNALS]),
-    indirect=["value_type"],
-)
-def test_views_match_a_direct_replay(journal, value_type):
-    journal = dataclasses.replace(journal)  # no replay cached by another value type
-    assert value_types(journal) == {value_type}
+@pytest.mark.parametrize("journal", JOURNALS, ids=lambda j: f"{len(j.transactions)}tx")
+def test_views_match_a_direct_replay(journal):
     chart, txs = journal.expand()
     dates = probe_dates(txs)
     oracle = SignedLedgerOracle(chart.leaves())
@@ -191,20 +161,14 @@ def assert_same_outcomes(journal):
             assert outcome(lambda: journal.flow_between(start, end).balances) == want
 
 
-KINDS = ["unbalanced", "interior", "missing"]
-
-
-@pytest.mark.parametrize(
-    "kind, value_type", on_both_value_types(KINDS, KINDS), indirect=["value_type"]
-)
-def test_a_failed_step_raises_like_a_direct_replay(kind, value_type):
+@pytest.mark.parametrize("kind", ["unbalanced", "interior", "missing"])
+def test_a_failed_step_raises_like_a_direct_replay(kind):
     journal = JOURNALS[0]
     chart, txs = journal.expand()
     dates = sorted({tx.date for tx in txs})
     middle = dates[len(dates) // 2]
     bad = failing_transactions(chart, chart.leaves(), middle)[kind]
     broken = injected(journal, bad)
-    assert value_types(broken) == {value_type}
     assert_same_outcomes(broken)
     # windows that end before it, contain it and start after it all occur
     assert isinstance(outcome(lambda: broken.stock_at(middle)), tuple)
@@ -292,9 +256,8 @@ def test_a_month_end_close_replays_once(monkeypatch):
     assert calls == list(txs)
 
 
-@pytest.mark.parametrize("value_type", [int, Fraction], indirect=True, ids=["int", "Fraction"])
-def test_the_replay_adds_no_taccounts_or_amounts(monkeypatch, value_type):
-    journal = dataclasses.replace(JOURNALS[2])
+def test_the_replay_adds_no_taccounts_or_amounts(monkeypatch):
+    journal = dataclasses.replace(JOURNALS[2])  # a copy with no replay cached yet
     calls = Counter()
     for owner in (TAccount, Amount):
         real = owner.__add__
@@ -308,39 +271,3 @@ def test_the_replay_adds_no_taccounts_or_amounts(monkeypatch, value_type):
     assert calls == Counter()
     journal.reconcile(dt.date(2020, 1, 1), dt.date(2020, 6, 30))  # the counters count
     assert calls["TAccount"] > 0 and calls["Amount"] > 0
-
-
-def hostile_text() -> str:
-    """2000 cent transactions, then ten postings of 1/(10**3999 + 2k + 1):
-    the common denominator of the journal runs to about 40 000 digits."""
-    lines = ["account a", "account b", "account c", ""]
-    for i in range(2000):
-        day = dt.date(2020, 1, 1) + dt.timedelta(days=i // 10)
-        amount = f"{i % 997 + 1}.{i % 100:02d}"
-        lines += [f'{day} "t{i}"', f"    a dr {amount}", f"    b cr {amount}", ""]
-    for k in range(10):
-        amount = f"1/{10**3999 + 2 * k + 1}"
-        lines += [f'2020-12-{k + 1:02d} "huge {k}"', f"    a dr {amount}", f"    c cr {amount}", ""]
-    return "\n".join(lines)
-
-
-def test_a_huge_common_denominator_takes_fraction_values(monkeypatch, capsys, tmp_path):
-    from tledger.cli import main
-
-    text = hostile_text()
-    report = validate_file(text)
-    assert report.ok
-    assert value_types(report.journal) == {Fraction}
-    f = tmp_path / "hostile.journal"
-    f.write_text(text, encoding="utf-8")
-
-    def reports() -> list:
-        out = []
-        for command in ("balance", "equation", "flows"):
-            assert main([command, str(f)]) == 0
-            out.append(capsys.readouterr())
-        return out
-
-    by_default = reports()
-    monkeypatch.setattr(tledger.ledger, "_MAX_SCALE_DIGITS", 0)
-    assert reports() == by_default
