@@ -101,16 +101,17 @@ class Amount:
         before reduction); no floating point is involved. Raises
         ValueError for malformed input or a zero denominator.
         """
+        # The patterns admit digits only, so every value is non-negative.
         if _INTEGER_RE.match(text):
-            return cls(int(text))
+            return cls._wrap(Fraction(int(text)))
         if m := _DECIMAL_RE.match(text):
             whole, frac = m.group(1), m.group(2)
-            return cls(int(whole + frac), 10 ** len(frac))
+            return cls._wrap(Fraction(int(whole + frac), 10 ** len(frac)))
         if m := _RATIONAL_RE.match(text):
             num, den = int(m.group(1)), int(m.group(2))
             if den == 0:
                 raise ValueError("zero denominator")
-            return cls(num, den)
+            return cls._wrap(Fraction(num, den))
         raise ValueError(f"malformed amount {text!r}")
 
     @property
@@ -198,6 +199,10 @@ class Amount:
         return f"{digits[:-places]}.{digits[-places:]}"
 
 
+# Amounts are immutable, so every empty side can share one zero.
+_ZERO_AMOUNT = Amount._wrap(Fraction(0))
+
+
 @dataclass(frozen=True, slots=True)
 class TAccount:
     """An ordered (debit, credit) pair of non-negative exact amounts."""
@@ -208,16 +213,16 @@ class TAccount:
     @classmethod
     def dr(cls, amount: Amount) -> TAccount:
         """A pure debit entry (amount, 0)."""
-        return cls(amount, Amount(0))
+        return cls(amount, _ZERO_AMOUNT)
 
     @classmethod
     def cr(cls, amount: Amount) -> TAccount:
         """A pure credit entry (0, amount)."""
-        return cls(Amount(0), amount)
+        return cls(_ZERO_AMOUNT, amount)
 
     @classmethod
     def zero(cls) -> TAccount:
-        return cls(Amount(0), Amount(0))
+        return cls(_ZERO_AMOUNT, _ZERO_AMOUNT)
 
     def __add__(self, other: TAccount) -> TAccount:
         """Combine two T-accounts: debits add to debits, credits to credits."""

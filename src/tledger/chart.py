@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable
 
 from .errors import DuplicateAccountError, UnknownAccountError
@@ -17,6 +18,9 @@ from .errors import DuplicateAccountError, UnknownAccountError
 __all__ = ["AccountPath", "Chart"]
 
 SEGMENT_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
+
+# Sort key for paths: the order=True comparison, run as a C tuple compare.
+_segments = attrgetter("segments")
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -39,6 +43,13 @@ class AccountPath:
     @classmethod
     def parse(cls, text: str) -> AccountPath:
         return cls(tuple(text.split(":")))
+
+    @classmethod
+    def _prefix(cls, segments: tuple[str, ...]) -> AccountPath:
+        # A proper prefix of a checked path's segments is itself valid.
+        out = object.__new__(cls)
+        object.__setattr__(out, "segments", segments)
+        return out
 
     @property
     def parent(self) -> AccountPath | None:
@@ -89,21 +100,16 @@ class Chart:
         Re-declaring an already declared path raises: it signals a
         journal authoring mistake.
         """
-        if self.nodes.get(path):
-            raise DuplicateAccountError(f"account {path} already declared")
         nodes = dict(self.nodes)
-        ancestor = path.parent
-        while ancestor is not None and ancestor not in nodes:
-            nodes[ancestor] = False
-            ancestor = ancestor.parent
-        nodes[path] = True
+        _declare(nodes, path)
         return Chart(nodes)
 
     def declare_all(self, paths: Iterable[AccountPath]) -> Chart:
-        chart = self
+        """declare() over paths in order, with one copy of the nodes."""
+        nodes = dict(self.nodes)
         for path in paths:
-            chart = chart.declare(path)
-        return chart
+            _declare(nodes, path)
+        return Chart(nodes)
 
     def __contains__(self, path: AccountPath) -> bool:
         return path in self.nodes
@@ -127,8 +133,10 @@ class Chart:
         return tuple(sorted(p for p in self.nodes if p.depth == 1))
 
     def leaves(self) -> tuple[AccountPath, ...]:
-        parents = {p.parent for p in self.nodes}
-        return tuple(sorted(p for p in self.nodes if p not in parents))
+        parents = {p.segments[:-1] for p in self.nodes}
+        return tuple(
+            sorted((p for p in self.nodes if p.segments not in parents), key=_segments)
+        )
 
     def leaves_under(self, path: AccountPath) -> tuple[AccountPath, ...]:
         """All postable leaves in the subtree rooted at path (inclusive)."""
@@ -144,4 +152,23 @@ class Chart:
         )
 
     def declared_paths(self) -> tuple[AccountPath, ...]:
-        return tuple(sorted(p for p, declared in self.nodes.items() if declared))
+        return tuple(
+            sorted((p for p, declared in self.nodes.items() if declared), key=_segments)
+        )
+
+
+def _declare(nodes: dict[AccountPath, bool], path: AccountPath) -> None:
+    """Chart.declare in place: flag path declared, add missing ancestors.
+
+    Raises DuplicateAccountError, leaving nodes as they were, when path
+    is already declared.
+    """
+    if nodes.get(path):
+        raise DuplicateAccountError(f"account {path} already declared")
+    segments = path.segments
+    for end in range(len(segments) - 1, 0, -1):
+        ancestor = AccountPath._prefix(segments[:end])
+        if ancestor in nodes:
+            break
+        nodes[ancestor] = False
+    nodes[path] = True

@@ -16,6 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .algebra import Amount, TAccount, _rational, _signed
+from .chart import _segments
 from .ledger import Journal, Ledger
 from .matching import emit_schedule_transactions
 from .parser import FileReport, format_transaction_block, validate_file
@@ -139,21 +140,24 @@ def cmd_balance(args, opts: RenderOptions) -> int:
     # Sorted paths are in pre-order: a parent sorts right before its
     # subtree. One pass from the end adds every node's balance and
     # visibility into its parent; a node shows if it is a nonzero leaf
-    # (any leaf with --show-zero) or has a child that shows.
-    nodes = sorted(ledger.chart.nodes)
+    # (any leaf with --show-zero) or has a child that shows. Both maps
+    # are keyed by segments, in sorted order, so a parent is a slice.
     balances = ledger.balances
-    value = {p: balances[p].balance() if p in balances else Fraction(0) for p in nodes}
-    shown = {p: opts.show_zero or value[p] != 0 for p in nodes}
-    for path in reversed(nodes):
-        parent = path.parent
-        if parent is not None:
-            value[parent] += value[path]
-            shown[parent] = shown[parent] or shown[path]
+    value = {
+        p.segments: balances[p].balance() if p in balances else Fraction(0)
+        for p in sorted(ledger.chart.nodes, key=_segments)
+    }
+    shown = {segs: opts.show_zero or v != 0 for segs, v in value.items()}
+    for segs in reversed(value):
+        if len(segs) > 1:
+            parent = segs[:-1]
+            value[parent] += value[segs]
+            shown[parent] = shown[parent] or shown[segs]
     lines = [f"balance as of {cutoff.isoformat()}"]
     lines.extend(
-        f"{'  ' * path.depth}{path.leaf}  {_fmt_value(value[path], opts)}"
-        for path in nodes
-        if shown[path]
+        f"{'  ' * len(segs)}{segs[-1]}  {_fmt_value(v, opts)}"
+        for segs, v in value.items()
+        if shown[segs]
     )
     lines.append(_zero_check_line(ledger.total(), opts.places))
     print("\n".join(lines))

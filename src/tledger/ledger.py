@@ -34,8 +34,8 @@ from functools import cached_property
 from math import lcm
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .algebra import Amount, TAccount, _signed
-from .chart import AccountPath, Chart
+from .algebra import _ZERO_AMOUNT, Amount, TAccount, _signed
+from .chart import AccountPath, Chart, _segments
 from .errors import (
     ChildCollisionError,
     ImbalanceError,
@@ -222,9 +222,7 @@ class Ledger:
                 f" (signed residual {_signed(residual)})",
                 residual,
             )
-        chart = self.chart
-        for child, _ in parts:
-            chart = chart.declare(child)
+        chart = self.chart.declare_all(child for child, _ in parts)
         balances = dict(self.balances)
         del balances[parent]
         for child, share in parts:
@@ -236,7 +234,7 @@ class Ledger:
         return replace(self, balances={a: t.scale(k) for a, t in self.balances.items()})
 
     def items(self) -> list[tuple[AccountPath, TAccount]]:
-        return sorted(self.balances.items())
+        return sorted(self.balances.items(), key=lambda item: item[0].segments)
 
     def nonzero_items(self) -> list[tuple[AccountPath, TAccount]]:
         """Reduced (account, pair) terms that survive reduction, sorted.
@@ -246,7 +244,7 @@ class Ledger:
         deleted from the ledger.
         """
         out = []
-        for account, entry in sorted(self.balances.items()):
+        for account, entry in self.items():
             reduced = entry.reduce()
             if not reduced.is_zero:
                 out.append((account, reduced))
@@ -329,7 +327,14 @@ class _Replay:
 
     def taccount(self, debit: int, credit: int) -> TAccount:
         """A pair of integers over scale as a TAccount; a side below zero raises."""
-        return TAccount(Amount(debit, self.scale), Amount(credit, self.scale))
+        return TAccount(self._side(debit), self._side(credit))
+
+    def _side(self, n: int) -> Amount:
+        if n > 0:
+            return Amount._wrap(Fraction(n, self.scale))
+        if n == 0:
+            return _ZERO_AMOUNT
+        return Amount(n, self.scale)  # raises the checked constructor's error
 
     @cached_property
     def ledger(self) -> Ledger:
@@ -384,13 +389,14 @@ class Journal:
     def _expansion(self) -> tuple[Chart, tuple[Transaction, ...]]:
         from .matching import emit_schedule_transactions, schedule_accounts
 
-        chart = self.chart
         txs = list(self.transactions)
+        accounts = {}  # a dict, to keep first-use order without repeats
         for schedule in self.schedules:
             for account in schedule_accounts(schedule):
-                if not chart.is_declared(account):
-                    chart = chart.declare(account)
+                if not self.chart.is_declared(account):
+                    accounts[account] = None
             txs.extend(emit_schedule_transactions(schedule))
+        chart = self.chart.declare_all(accounts) if accounts else self.chart
         return chart, tuple(sorted(txs, key=lambda t: t.date))
 
     @cached_property
@@ -486,7 +492,7 @@ class Journal:
         flow = self.flow_between(start, end)
         closing = self.stock_at(end)
         rows = []
-        for account in sorted(closing.balances):
+        for account in sorted(closing.balances, key=_segments):
             combined = opening.balances[account] + flow.balances[account]
             rows.append(
                 ReconcileRow(

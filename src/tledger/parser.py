@@ -16,6 +16,10 @@ indented postings, terminated by a blank line or end of file. Amounts
 come in exactly two forms, decimals and rationals, and both parse
 exactly: 493827.16 becomes 49382716/100 before reduction, never a float.
 
+Each distinct account token is checked once per file: the parser keeps
+one AccountPath per token, so every posting to an account shares it,
+and it builds the chart in one pass, as a single Chart at end of file.
+
 Parsing never throws past this boundary: every problem becomes a
 diagnostic with a 1-based source span, and after an error the parser
 skips to the next blank line so one pass can surface several mistakes.
@@ -29,7 +33,7 @@ import re
 from dataclasses import dataclass
 
 from .algebra import Amount, TAccount
-from .chart import AccountPath, Chart
+from .chart import AccountPath, Chart, _declare
 from .diagnostics import ParseDiagnostic, Severity, SourceSpan
 from .errors import DuplicateAccountError
 from .ledger import Journal, Posting, Transaction
@@ -59,7 +63,8 @@ class _FileParser:
         self.strict = strict
         self.lines = text.split("\n")
         self.diagnostics: list[ParseDiagnostic] = []
-        self.chart = Chart.empty()
+        self.nodes: dict[AccountPath, bool] = {}  # the chart, built in place
+        self.paths: dict[str, AccountPath] = {}  # every valid token, parsed once
         self.transactions: list[Transaction] = []
         self.schedules: list[MatchingSchedule] = []
         self.basis: Amount | None = None
@@ -93,11 +98,15 @@ class _FileParser:
     # -- small parsers -----------------------------------------------
 
     def parse_path(self, token: str, col: int) -> AccountPath | None:
-        try:
-            return AccountPath.parse(token)
-        except ValueError as err:
-            self.error(str(err), self.span(col, len(token)))
-            return None
+        path = self.paths.get(token)
+        if path is None:
+            try:
+                path = AccountPath.parse(token)
+            except ValueError as err:
+                self.error(str(err), self.span(col, len(token)))
+                return None
+            self.paths[token] = path
+        return path
 
     def parse_amount(self, token: str, col: int) -> Amount | None:
         try:
@@ -118,14 +127,14 @@ class _FileParser:
 
     def resolve_account(self, path: AccountPath, col: int, token: str) -> bool:
         """Strict mode demands declaration before use; loose declares on use."""
-        if self.chart.is_declared(path):
+        if self.nodes.get(path):
             return True
         if self.strict:
             self.error(
                 f"undeclared account {path}", self.span(col, len(token))
             )
             return False
-        self.chart = self.chart.declare(path)
+        _declare(self.nodes, path)
         self.warn(
             f"implicitly declared account {path}", self.span(col, len(token))
         )
@@ -157,7 +166,7 @@ class _FileParser:
         if any(d.severity is Severity.ERROR for d in self.diagnostics):
             return None, self.diagnostics
         journal = Journal(
-            self.chart,
+            Chart(self.nodes),
             tuple(self.transactions),
             tuple(self.schedules),
             self.basis,
@@ -225,7 +234,7 @@ class _FileParser:
         if path is None:
             return
         try:
-            self.chart = self.chart.declare(path)
+            _declare(self.nodes, path)
         except DuplicateAccountError as err:
             self.error(str(err), self.span(col, len(token)))
 

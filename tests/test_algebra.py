@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tledger import Amount, TAccount
-from tledger.algebra import _rational, _signed
+from tledger.algebra import _ZERO_AMOUNT, _rational, _signed
 
 
 def cross_sum_equal(a: TAccount, b: TAccount) -> bool:
@@ -65,6 +65,50 @@ class TestAmount:
         assert Amount.parse("7") == Amount(7)
         assert Amount.parse("493827.16") == Amount(49382716, 100)
         assert Amount.parse("2/5") == Amount(2, 5)
+
+    @pytest.mark.parametrize(
+        "text,num,den",
+        [
+            ("0", 0, 1),
+            ("7", 7, 1),
+            ("007", 7, 1),
+            ("0.0", 0, 10),
+            ("00.50", 50, 100),
+            ("493827.16", 49382716, 100),
+            ("0/5", 0, 5),
+            ("4/8", 4, 8),
+            ("007/014", 7, 14),
+            ("123456789/250", 123456789, 250),
+        ],
+    )
+    def test_parse_equals_checked_constructor(self, text, num, den):
+        parsed, checked = Amount.parse(text), Amount(num, den)
+        assert type(parsed) is Amount
+        assert parsed == checked
+        assert (parsed.numerator, parsed.denominator) == (
+            checked.numerator,
+            checked.denominator,
+        )
+
+    @given(st.integers(0, 10**30), st.integers(0, 40), st.integers(1, 10**30))
+    def test_parse_equals_checked_constructor_on_any_literal(self, num, zeros, den):
+        lead = "0" * zeros
+        assert Amount.parse(f"{lead}{num}").as_fraction == Amount(num).as_fraction
+        assert Amount.parse(f"{lead}{num}/{lead}{den}").as_fraction == (
+            Amount(num, den).as_fraction
+        )
+        frac = f"{den}{lead}"
+        assert Amount.parse(f"{num}.{frac}").as_fraction == (
+            Amount(int(f"{num}{frac}"), 10 ** len(frac)).as_fraction
+        )
+
+    def test_empty_sides_share_one_zero(self):
+        assert TAccount.dr(Amount(1)).credit is _ZERO_AMOUNT
+        assert TAccount.cr(Amount(1)).debit is _ZERO_AMOUNT
+        zero = TAccount.zero()
+        assert zero.debit is _ZERO_AMOUNT and zero.credit is _ZERO_AMOUNT
+        assert _ZERO_AMOUNT == Amount(0)
+        assert (_ZERO_AMOUNT.numerator, _ZERO_AMOUNT.denominator) == (0, 1)
 
     @pytest.mark.parametrize("bad", ["", "-1", "1.2.3", "1/2/3", "2e5", "1,000", ".5", "5."])
     def test_parse_rejects(self, bad):

@@ -1,10 +1,22 @@
 """Account paths and the chart tree."""
 
+import random
+import re
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tledger import AccountPath, Chart, DuplicateAccountError, UnknownAccountError
+from journalgen import random_journal
+from tledger import (
+    AccountPath,
+    Chart,
+    DuplicateAccountError,
+    UnknownAccountError,
+    parse_journal,
+    serialize_journal,
+)
 
 segments = st.from_regex(r"[A-Za-z][A-Za-z0-9_-]{0,8}", fullmatch=True)
 paths = st.builds(AccountPath, st.tuples(segments, segments).map(lambda t: t[:1] + t[1:]))
@@ -93,3 +105,63 @@ class TestChart:
         chart = Chart.empty()
         chart.declare(p("assets"))
         assert len(chart) == 0
+
+
+class TestParsedChart:
+    """The parser builds its chart in one pass; it must equal declare_all."""
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_one_pass_and_one_path_per_node(self, monkeypatch, strict):
+        calls = Counter()
+        declare, post_init = Chart.declare, AccountPath.__post_init__
+
+        def counted_declare(self, path):
+            calls["declare"] += 1
+            return declare(self, path)
+
+        def counted_post_init(self):
+            calls["path"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(Chart, "declare", counted_declare)
+        monkeypatch.setattr(AccountPath, "__post_init__", counted_post_init)
+        names = [f"r{i % 3}:g{i % 7}:a{i}" for i in range(600)]
+        if strict:
+            text = "".join(f"account {name}\n" for name in names)
+        else:  # every account declared on first use, then used again
+            text = "".join(
+                f'2020-01-01 "t"\n    {name} dr 1\n    {names[0]} cr 1\n\n'
+                for name in names + names
+            )
+        journal, _ = parse_journal(text, strict=strict)
+        assert journal is not None
+        assert calls["declare"] == 0
+        assert 0 < calls["path"] <= len(journal.chart.nodes) == 600 + 3 + 21
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_parsed_chart_equals_declare_all(self, strict):
+        rng = random.Random(5150)
+        for _ in range(60):
+            text = serialize_journal(random_journal(rng, 30, 20))
+            lines = text.split("\n")
+            if not strict:  # drop some declarations; loose mode adds them on use
+                lines = [
+                    line
+                    for line in lines
+                    if not line.startswith("account ") or rng.random() < 0.5
+                ]
+            declared = [
+                m.group(1) for line in lines if (m := re.match(r"account (\S+)$", line))
+            ]
+            if not strict:
+                for line in lines:
+                    if m := re.match(r"    (\S+) (?:dr|cr) ", line):
+                        declared.append(m.group(1))
+                    elif m := re.match(r"schedule (\S+) (\S+) ", line):
+                        declared.extend(m.groups())
+            journal, _ = parse_journal("\n".join(lines), strict=strict)
+            assert journal is not None
+            want = Chart.empty().declare_all(
+                AccountPath.parse(name) for name in dict.fromkeys(declared)
+            )
+            assert journal.chart.nodes == want.nodes

@@ -32,6 +32,7 @@ from tledger import (
     UnknownAccountError,
     validate_transaction,
 )
+from tledger.ledger import _Replay
 
 D = dt.date
 
@@ -362,6 +363,42 @@ class TestPastTheIntStringLimit:
             )
         finally:
             sys.set_int_max_str_digits(limit)
+
+
+class TestReplayTAccount:
+    """_Replay.taccount against the checked constructor it stands in for."""
+
+    @staticmethod
+    def taccount(debit, credit, scale):
+        replay = _Replay(Chart.empty(), scale, {}, 0, None, (), {})
+        return replay.taccount(debit, credit)
+
+    def test_random_pairs_equal_checked_amounts(self):
+        rng = random.Random(31337)
+        big = int("7" * 4000)
+        for _ in range(300):
+            scale = rng.choice([1, rng.randint(1, 10**6), big])
+            debit, credit = (
+                rng.choice([0, rng.randint(1, 10**9), rng.randint(1, big)])
+                for _ in range(2)
+            )
+            want = TAccount(Amount(debit, scale), Amount(credit, scale))
+            got = self.taccount(debit, credit, scale)
+            assert got == want
+            for side, checked in ((got.debit, want.debit), (got.credit, want.credit)):
+                assert (side.numerator, side.denominator) == (
+                    checked.numerator,
+                    checked.denominator,
+                )
+
+    @pytest.mark.parametrize("debit, credit", [(-3, 0), (0, -3), (5, -6)])
+    def test_negative_side_raises_the_checked_text(self, debit, credit):
+        scale = int("9" * 4000)
+        with pytest.raises(ValueError) as checked:
+            TAccount(Amount(debit, scale), Amount(credit, scale))
+        with pytest.raises(ValueError) as raised:
+            self.taccount(debit, credit, scale)
+        assert str(raised.value) == str(checked.value)
 
 
 class TestStockAt:

@@ -170,6 +170,30 @@ class TestEmission:
         assert p("expenses:interest:y5") in accounts
         assert contra_account(p("assets:machine")) == p("assets:accumulated-depreciation")
 
+    def test_shared_and_declared_schedule_accounts_are_declared_once(
+        self, machine_journal_parts
+    ):
+        chart, opening = machine_journal_parts
+        chart = chart.declare(p("expenses:interest:y2"))
+        schedules = tuple(
+            build_schedule(
+                p("assets:machine"),
+                p("expenses:interest"),
+                amt("1/5"),
+                n,
+                D(2020, 1, 4),
+                ScheduleMode.CONTRA,
+            )
+            for n in (3, 5)
+        )
+        expanded, txs = Journal(chart, (opening,), schedules).expand()
+        want = chart.declare_all(
+            [p(f"expenses:interest:y{k}") for k in (1, 3, 4, 5)]
+            + [contra_account(p("assets:machine"))]
+        )
+        assert expanded.nodes == want.nodes
+        assert len(txs) == 1 + 3 + 5
+
     def test_root_zero_through_all_periods(self, machine_journal_parts):
         journal, _ = self._journal(machine_journal_parts, ScheduleMode.DIRECT)
         chart, txs = journal.expand()

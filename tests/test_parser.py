@@ -11,6 +11,7 @@ from journalgen import random_journal
 from tledger import (
     AccountPath,
     Amount,
+    Journal,
     ScheduleMode,
     Severity,
     TAccount,
@@ -18,6 +19,7 @@ from tledger import (
     serialize_journal,
     validate_file,
 )
+from tledger.algebra import _ZERO_AMOUNT
 
 
 def parse_ok(text, **kwargs):
@@ -154,6 +156,45 @@ class TestDiagnostics:
     def test_strict_mode_undeclared_account(self):
         errs = errors_of('account b\n\n2020-01-01 "x"\n    a dr 1\n    b cr 1\n')
         assert any("undeclared account a" in e.message for e in errs)
+
+    @pytest.mark.parametrize(
+        "text,strict,want",
+        [
+            (
+                "account a:b\naccount a\naccount a:b\naccount c\naccount a\n",
+                True,
+                [
+                    "f.journal:3:9: error: account a:b already declared",
+                    "f.journal:5:9: error: account a already declared",
+                ],
+            ),
+            (
+                'account a:b\n\n2020-01-01 "x"\n    a:b dr 1\n    c:d cr 1\n\n'
+                "schedule m:n a:b:x 10 over 3 yearly from 2020-01-04 mode contra\n",
+                True,
+                [
+                    "f.journal:5:5: error: undeclared account c:d",
+                    "f.journal:7:10: error: undeclared account m:n",
+                    "f.journal:7:14: error: undeclared account a:b:x",
+                ],
+            ),
+            (
+                'account a:b\n\n2020-01-01 "x"\n    a:b dr 1\n    c:d cr 1\n'
+                "    c:d dr 0\n\n"
+                "schedule m:n p:q 10 over 3 yearly from 2020-01-04 mode contra\n",
+                False,
+                [
+                    "f.journal:5:5: warning: implicitly declared account c:d",
+                    "f.journal:8:10: warning: implicitly declared account m:n",
+                    "f.journal:8:14: warning: implicitly declared account p:q",
+                ],
+            ),
+        ],
+        ids=["duplicate", "undeclared", "loose"],
+    )
+    def test_chart_diagnostics_render_exactly(self, text, strict, want):
+        _, diagnostics = parse_journal(text, file="f.journal", strict=strict)
+        assert [d.render() for d in diagnostics] == want
 
     def test_schedule_arity(self):
         errs = errors_of("schedule a b 1 over 5 yearly\n")
@@ -302,6 +343,43 @@ class TestLooseMode:
     def test_strict_rejects_same_file(self):
         text = '2020-01-01 "x"\n    a dr 1\n    b cr 1\n'
         assert errors_of(text)
+
+
+class TestParsedValues:
+    def test_no_checked_amount_per_transaction(self, monkeypatch):
+        calls = []
+        init = Amount.__init__
+
+        def counted_init(self, *args):
+            calls.append(args)
+            init(self, *args)
+
+        journal = random_journal(random.Random(77), 20, 60)
+        doubled = Journal(
+            journal.chart,
+            journal.transactions * 2,
+            journal.schedules,
+            journal.basis,
+        )
+        counts = []
+        monkeypatch.setattr(Amount, "__init__", counted_init)
+        for source in (journal, doubled):
+            text = serialize_journal(source)
+            calls.clear()
+            parsed, _ = parse_ok(text)
+            assert len(parsed.transactions) == len(source.transactions)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+    def test_empty_side_is_the_shared_zero(self, fixture_text, contra_fixture_text):
+        for text in (fixture_text, contra_fixture_text):
+            journal, _ = parse_ok(text)
+            for tx in journal.transactions:
+                for posting in tx.postings:
+                    entry = posting.entry
+                    assert entry.debit and entry.credit is _ZERO_AMOUNT or (
+                        entry.credit and entry.debit is _ZERO_AMOUNT
+                    )
 
 
 class TestSerialization:
