@@ -21,8 +21,8 @@ operations are pure functions; they are safe to share across threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 __all__ = ["Amount", "TAccount"]
 
@@ -60,6 +60,66 @@ def _rational(value: Fraction) -> str:
 def _signed(value: Fraction) -> str:
     """A signed rational as messages and reports show it: +2/5, -4, 0."""
     return f"+{_rational(value)}" if value > 0 else _rational(value)
+
+
+class _Record:
+    """An immutable record of the fields named in _fields.
+
+    == (within one class), hash and repr run over the fields, or over
+    _compared where a span stays out of ==. The shared __init__ takes
+    _defaults for the last fields, then runs __post_init__. A subclass
+    without __slots__ keeps a __dict__, for its cached properties.
+    """
+
+    __slots__ = ()
+    _compared: tuple[str, ...] = ()
+    _defaults: tuple = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*(cls._compared or cls._fields))  # called as _key(self)
+        cls.__match_args__ = cls._fields
+
+    def __init__(self, *args, **kwargs):
+        names, defaults = self._fields, self._defaults
+        if kwargs or len(args) != len(names):
+            given = dict(zip(names, args))
+            values = dict(zip(names[len(names) - len(defaults) :], defaults)) | given | kwargs
+            if len(args) > len(names) or given.keys() & kwargs or values.keys() != set(names):
+                raise TypeError(f"{type(self).__name__}() takes {', '.join(names)}")
+            args = [values[name] for name in names]
+        set_field = object.__setattr__
+        for name, value in zip(names, args):
+            set_field(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name: str, value: object):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def _replace(self, **changes) -> _Record:
+        """A copy with the named fields changed, built by __init__."""
+        values = [changes.pop(name, getattr(self, name)) for name in self._fields]
+        return type(self)(*values, **changes)
 
 
 class Amount:
@@ -203,12 +263,22 @@ class Amount:
 _ZERO_AMOUNT = Amount._wrap(Fraction(0))
 
 
-@dataclass(frozen=True, slots=True)
-class TAccount:
+class TAccount(_Record):
     """An ordered (debit, credit) pair of non-negative exact amounts."""
 
-    debit: Amount
-    credit: Amount
+    __slots__ = _fields = ("debit", "credit")
+
+    def __init__(self, debit: Amount, credit: Amount):
+        object.__setattr__(self, "debit", debit)
+        object.__setattr__(self, "credit", credit)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.debit, self.credit) == (other.debit, other.credit)
+
+    def __hash__(self) -> int:
+        return hash((self.debit, self.credit))
 
     @classmethod
     def dr(cls, amount: Amount) -> TAccount:

@@ -9,29 +9,41 @@ be aggregated over their subtrees.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Iterable
+from collections.abc import Iterable
+from operator import attrgetter, ge, gt, le, lt
 
+from .algebra import _Record
 from .errors import DuplicateAccountError, UnknownAccountError
 
 __all__ = ["AccountPath", "Chart"]
 
 SEGMENT_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
 
-# Sort key for paths: the order=True comparison, run as a C tuple compare.
+# Sort key for paths: their order, run as a C tuple compare.
 _segments = attrgetter("segments")
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class AccountPath:
+def _on_segments(compare):
+    # An AccountPath ordering: compare segments, within the class only.
+    def method(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return compare(self.segments, other.segments)
+    return method
+
+
+class AccountPath(_Record):
     """A non-empty sequence of identifier segments, rendered with ":".
 
     Comparison is case-sensitive and exact; ordering is lexicographic by
     segment, which keeps reports deterministic.
     """
 
-    segments: tuple[str, ...]
+    __slots__ = _fields = ("segments",)
+
+    def __init__(self, segments: tuple[str, ...]):
+        object.__setattr__(self, "segments", segments)
+        self.__post_init__()
 
     def __post_init__(self):
         if not self.segments:
@@ -75,12 +87,21 @@ class AccountPath:
             and other.segments[: len(self.segments)] == self.segments
         )
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.segments == other.segments
+
+    def __hash__(self) -> int:
+        return hash((self.segments,))
+
+    __lt__, __le__, __gt__, __ge__ = map(_on_segments, (lt, le, gt, ge))
+
     def __str__(self) -> str:
         return ":".join(self.segments)
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(_Record):
     """An immutable rooted tree of account paths.
 
     Each present path is flagged declared (True) or implicit (False); an
@@ -88,7 +109,10 @@ class Chart:
     Operations return new charts, never mutate.
     """
 
-    nodes: dict[AccountPath, bool] = field(default_factory=dict)
+    __slots__ = _fields = ("nodes",)
+
+    def __init__(self, nodes: dict[AccountPath, bool] | None = None):
+        object.__setattr__(self, "nodes", {} if nodes is None else nodes)
 
     @classmethod
     def empty(cls) -> Chart:

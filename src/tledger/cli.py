@@ -11,11 +11,9 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
-from .algebra import Amount, TAccount, _rational, _signed
+from .algebra import Amount, TAccount, _Record, _rational, _signed
 from .chart import _segments
 from .ledger import Journal, Ledger
 from .matching import emit_schedule_transactions
@@ -24,8 +22,7 @@ from .parser import FileReport, format_transaction_block, validate_file
 __all__ = ["RenderOptions", "main", "entry"]
 
 
-@dataclass(frozen=True)
-class RenderOptions:
+class RenderOptions(_Record):
     """How report values are shown; never affects computation.
 
     places None renders reduced rationals; an integer renders fixed
@@ -33,9 +30,8 @@ class RenderOptions:
     basis. Zero-balance accounts are hidden unless show_zero is set.
     """
 
-    places: int | None = None
-    percent: bool = False
-    show_zero: bool = False
+    __slots__ = _fields = ("places", "percent", "show_zero")
+    _defaults = (None, False, False)
 
     def __post_init__(self):
         if self.places is not None and not 0 <= self.places <= 12:
@@ -74,7 +70,8 @@ def _zero_check_line(total: TAccount, places: int | None) -> str:
 
 def _read_file(path: str) -> str | None:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except OSError as err:
         print(f"error: cannot read {path}: {err}", file=sys.stderr)
         return None

@@ -28,14 +28,14 @@ from __future__ import annotations
 import copy
 import datetime as dt
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .algebra import _ZERO_AMOUNT, Amount, TAccount, _signed
+from .algebra import _ZERO_AMOUNT, Amount, TAccount, _Record, _signed
 from .chart import AccountPath, Chart, _segments
+from .diagnostics import SourceSpan
 from .errors import (
     ChildCollisionError,
     ImbalanceError,
@@ -45,10 +45,6 @@ from .errors import (
     PartitionMismatchError,
     UnknownAccountError,
 )
-
-if TYPE_CHECKING:
-    from .diagnostics import SourceSpan
-    from .matching import MatchingSchedule
 
 __all__ = [
     "Posting",
@@ -62,27 +58,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Posting:
+class Posting(_Record):
     """One account's share of a transaction: a single-sided entry.
 
     The entry must be canonical — a pure debit, a pure credit, or the
     zero pair. General two-sided pairs appear only in computed states.
     """
 
-    account: AccountPath
-    entry: TAccount
-    span: "SourceSpan | None" = field(default=None, compare=False)
+    __slots__ = _fields = ("account", "entry", "span")
+    _compared = _fields[:-1]
 
-    def __post_init__(self):
-        if not self.entry.is_canonical:
-            raise ValueError(
-                f"posting entry must be a pure debit or credit, got {self.entry}"
-            )
+    def __init__(
+        self, account: AccountPath, entry: TAccount, span: SourceSpan | None = None
+    ):
+        object.__setattr__(self, "account", account)
+        object.__setattr__(self, "entry", entry)
+        object.__setattr__(self, "span", span)
+        if not entry.is_canonical:
+            raise ValueError(f"posting entry must be a pure debit or credit, got {entry}")
 
 
-@dataclass(frozen=True, slots=True)
-class Transaction:
+class Transaction(_Record):
     """A dated, described list of postings.
 
     Validity (at least two postings summing to a zero pair) is checked
@@ -90,10 +86,20 @@ class Transaction:
     broken transactions can still be reported with their location.
     """
 
-    date: dt.date
-    description: str
-    postings: tuple[Posting, ...]
-    span: "SourceSpan | None" = field(default=None, compare=False)
+    __slots__ = _fields = ("date", "description", "postings", "span")
+    _compared = _fields[:-1]
+
+    def __init__(
+        self,
+        date: dt.date,
+        description: str,
+        postings: tuple[Posting, ...],
+        span: SourceSpan | None = None,
+    ):
+        object.__setattr__(self, "date", date)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "postings", postings)
+        object.__setattr__(self, "span", span)
 
     def total(self) -> TAccount:
         out = TAccount.zero()
@@ -131,8 +137,7 @@ def validate_transaction(tx: Transaction) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Ledger:
+class Ledger(_Record):
     """Per-account T-account state over a fixed chart.
 
     balances maps every postable leaf to its T-account. Posting
@@ -141,10 +146,8 @@ class Ledger:
     interval), if any.
     """
 
-    chart: Chart
-    balances: dict[AccountPath, TAccount]
-    as_of: dt.date | None = None
-    interval: tuple[dt.date, dt.date] | None = None
+    __slots__ = _fields = ("chart", "balances", "as_of", "interval")
+    _defaults = (None, None)
 
     @classmethod
     def empty(cls, chart: Chart) -> Ledger:
@@ -155,7 +158,7 @@ class Ledger:
 
     def post(self, tx: Transaction) -> Ledger:
         """A new ledger with one balanced transaction folded in."""
-        ledger = replace(self, balances=dict(self.balances))
+        ledger = self._replace(balances=dict(self.balances))
         ledger._apply(tx)
         return ledger
 
@@ -227,11 +230,11 @@ class Ledger:
         del balances[parent]
         for child, share in parts:
             balances[child] = share
-        return replace(self, chart=chart, balances=balances)
+        return self._replace(chart=chart, balances=balances)
 
     def scaled(self, k: Amount) -> Ledger:
         """Every balance scaled by k (basis normalization)."""
-        return replace(self, balances={a: t.scale(k) for a, t in self.balances.items()})
+        return self._replace(balances={a: t.scale(k) for a, t in self.balances.items()})
 
     def items(self) -> list[tuple[AccountPath, TAccount]]:
         return sorted(self.balances.items(), key=lambda item: item[0].segments)
@@ -305,8 +308,7 @@ def _replay_step(chart: Chart, pairs: dict, tx: Transaction, values: list) -> No
         pairs[a] = (old_debit + d, old_credit + c)
 
 
-@dataclass(frozen=True)
-class _Replay:
+class _Replay(_Record):
     """One pass of the replay step over a journal's expanded stream.
 
     Sides are integers over scale. pairs holds each leaf's final raw
@@ -317,13 +319,7 @@ class _Replay:
     posted step that failed the zero-change check (with None).
     """
 
-    chart: Chart
-    scale: int
-    pairs: dict[AccountPath, tuple[int, int]]
-    posted: int
-    last: Transaction | None
-    faults: tuple[tuple[Transaction, LedgerError | None], ...]
-    history: dict[AccountPath, tuple[list[dt.date], list[tuple[int, int]]]]
+    _fields = ("chart", "scale", "pairs", "posted", "last", "faults", "history")
 
     def taccount(self, debit: int, credit: int) -> TAccount:
         """A pair of integers over scale as a TAccount; a side below zero raises."""
@@ -357,8 +353,7 @@ class _Replay:
                 raise copy.copy(err)
 
 
-@dataclass(frozen=True)
-class Journal:
+class Journal(_Record):
     """Chart directives, dated transactions, and matching schedules.
 
     Transactions are kept sorted by date (stable, so file order breaks
@@ -366,10 +361,8 @@ class Journal:
     ordinary transactions for the derived views.
     """
 
-    chart: Chart
-    transactions: tuple[Transaction, ...] = ()
-    schedules: "tuple[MatchingSchedule, ...]" = ()
-    basis: Amount | None = None
+    _fields = ("chart", "transactions", "schedules", "basis")
+    _defaults = ((), (), None)
 
     def __post_init__(self):
         ordered = tuple(sorted(self.transactions, key=lambda t: t.date))
@@ -455,7 +448,7 @@ class Journal:
                 balances[leaf] = replay.taccount(debit - common, credit - common)
             else:
                 balances[leaf] = _ZERO
-        return Ledger(replay.chart, balances, as_of=cutoff)
+        return Ledger(replay.chart, balances, cutoff, None)
 
     def flow_between(self, start: dt.date, end: dt.date) -> Ledger:
         """Flow view: raw componentwise posting sums over (start, end].
@@ -480,7 +473,7 @@ class Journal:
             if i:
                 debit, credit = debit - sums[i - 1][0], credit - sums[i - 1][1]
             balances[leaf] = replay.taccount(debit, credit)
-        return Ledger(replay.chart, balances, interval=(start, end))
+        return Ledger(replay.chart, balances, None, (start, end))
 
     def reconcile(self, start: dt.date, end: dt.date) -> ReconciliationReport:
         """Check stock(start) + flow(start, end] against stock(end) per account.
@@ -493,16 +486,10 @@ class Journal:
         closing = self.stock_at(end)
         rows = []
         for account in sorted(closing.balances, key=_segments):
-            combined = opening.balances[account] + flow.balances[account]
-            rows.append(
-                ReconcileRow(
-                    account=account,
-                    opening=opening.balances[account],
-                    flow=flow.balances[account],
-                    closing=closing.balances[account],
-                    ok=combined.equivalent(closing.balances[account]),
-                )
-            )
+            before, moved = opening.balances[account], flow.balances[account]
+            after = closing.balances[account]
+            ok = (before + moved).equivalent(after)
+            rows.append(ReconcileRow(account, before, moved, after, ok))
         return ReconciliationReport(start, end, tuple(rows))
 
     def income_report(
@@ -523,20 +510,12 @@ class Journal:
         return IncomeReport(start, end, tuple(rows), total, -total.balance())
 
 
-@dataclass(frozen=True, slots=True)
-class ReconcileRow:
-    account: AccountPath
-    opening: TAccount
-    flow: TAccount
-    closing: TAccount
-    ok: bool
+class ReconcileRow(_Record):
+    __slots__ = _fields = ("account", "opening", "flow", "closing", "ok")
 
 
-@dataclass(frozen=True)
-class ReconciliationReport:
-    start: dt.date
-    end: dt.date
-    rows: tuple[ReconcileRow, ...]
+class ReconciliationReport(_Record):
+    __slots__ = _fields = ("start", "end", "rows")
 
     @property
     def ok(self) -> bool:
@@ -547,11 +526,6 @@ class ReconciliationReport:
         return tuple(row for row in self.rows if not row.ok)
 
 
-@dataclass(frozen=True)
-class IncomeReport:
-    start: dt.date
-    end: dt.date
-    rows: tuple[tuple[AccountPath, TAccount], ...]
-    total: TAccount
-    net_income: Fraction
+class IncomeReport(_Record):
+    __slots__ = _fields = ("start", "end", "rows", "total", "net_income")
 

@@ -18,16 +18,12 @@ from __future__ import annotations
 
 import datetime as dt
 import enum
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
-from .algebra import Amount, TAccount, _rational
+from .algebra import Amount, TAccount, _Record, _rational
 from .chart import AccountPath
+from .diagnostics import SourceSpan
 from .ledger import Ledger, Posting, Transaction
-
-if TYPE_CHECKING:
-    from .diagnostics import SourceSpan
 
 __all__ = [
     "MatchingSchedule",
@@ -48,21 +44,18 @@ class ScheduleMode(enum.Enum):
     CONTRA = "contra"
 
 
-@dataclass(frozen=True)
-class MatchingSchedule:
+class MatchingSchedule(_Record):
     """A partition of a resource matched period by period.
 
     Fractions are exact, positive, and sum to one, so the emitted
     movements always rebuild the total with no rounding residue.
     """
 
-    source: AccountPath
-    counterpart_prefix: AccountPath
-    total: Amount
-    periods: tuple[tuple[dt.date, Amount], ...]
-    mode: ScheduleMode = ScheduleMode.DIRECT
-    start: dt.date | None = None
-    span: "SourceSpan | None" = field(default=None, compare=False)
+    __slots__ = _fields = (
+        "source", "counterpart_prefix", "total", "periods", "mode", "start", "span"
+    )
+    _compared = _fields[:-1]
+    _defaults = (ScheduleMode.DIRECT, None, None)
 
     def __post_init__(self):
         if not self.total:
@@ -97,7 +90,7 @@ def build_schedule(
     n: int,
     start: dt.date,
     mode: ScheduleMode = ScheduleMode.DIRECT,
-    span: "SourceSpan | None" = None,
+    span: SourceSpan | None = None,
 ) -> MatchingSchedule:
     """Straight-line schedule: n yearly periods of exactly 1/n each.
 

@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import datetime as dt
 import re
-from dataclasses import dataclass
 
-from .algebra import Amount, TAccount
+from .algebra import Amount, TAccount, _Record
 from .chart import AccountPath, Chart, _declare
 from .diagnostics import ParseDiagnostic, Severity, SourceSpan
 from .errors import DuplicateAccountError
@@ -427,15 +426,15 @@ def serialize_journal(journal: Journal) -> str:
     return "\n\n".join(parts) + "\n"
 
 
-@dataclass(frozen=True)
-class FileReport:
-    """Aggregate verdict on one journal file."""
+class FileReport(_Record):
+    """Aggregate verdict on one journal file.
 
-    status: str  # "ok" | "invalid" | "parse-error"
-    diagnostics: tuple[ParseDiagnostic, ...]
-    transactions: int
-    message: str
-    journal: Journal | None = None  # the parsed journal when status is "ok"
+    status is "ok", "invalid" or "parse-error"; journal is the parsed
+    journal when status is "ok", else None.
+    """
+
+    __slots__ = _fields = ("status", "diagnostics", "transactions", "message", "journal")
+    _defaults = (None,)
 
     @property
     def ok(self) -> bool:
