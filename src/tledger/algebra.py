@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, ge, gt, le, lt
 
 __all__ = ["Amount", "TAccount"]
 
@@ -60,6 +60,24 @@ def _rational(value: Fraction) -> str:
 def _signed(value: Fraction) -> str:
     """A signed rational as messages and reports show it: +2/5, -4, 0."""
     return f"+{_rational(value)}" if value > 0 else _rational(value)
+
+
+def _orderings(field: str):
+    """__lt__, __le__, __gt__ and __ge__ on one field, within one class.
+
+    Against any other type each returns NotImplemented, so comparing
+    with another type raises TypeError.
+    """
+    key = attrgetter(field)
+
+    def ordering(compare):
+        def method(self, other):
+            if other.__class__ is not self.__class__:
+                return NotImplemented
+            return compare(key(self), key(other))
+        return method
+
+    return map(ordering, (lt, le, gt, ge))
 
 
 class _Record:
@@ -215,17 +233,7 @@ class Amount:
             return NotImplemented
         return self._value == other._value
 
-    def __lt__(self, other: Amount) -> bool:
-        return self._value < other._value
-
-    def __le__(self, other: Amount) -> bool:
-        return self._value <= other._value
-
-    def __gt__(self, other: Amount) -> bool:
-        return self._value > other._value
-
-    def __ge__(self, other: Amount) -> bool:
-        return self._value >= other._value
+    __lt__, __le__, __gt__, __ge__ = _orderings("_value")
 
     def __hash__(self) -> int:
         return hash(self._value)
@@ -271,14 +279,6 @@ class TAccount(_Record):
     def __init__(self, debit: Amount, credit: Amount):
         object.__setattr__(self, "debit", debit)
         object.__setattr__(self, "credit", credit)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.debit, self.credit) == (other.debit, other.credit)
-
-    def __hash__(self) -> int:
-        return hash((self.debit, self.credit))
 
     @classmethod
     def dr(cls, amount: Amount) -> TAccount:

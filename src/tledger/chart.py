@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable
-from operator import attrgetter, ge, gt, le, lt
+from operator import attrgetter
 
-from .algebra import _Record
+from .algebra import _orderings, _Record
 from .errors import DuplicateAccountError, UnknownAccountError
 
 __all__ = ["AccountPath", "Chart"]
@@ -21,15 +21,6 @@ SEGMENT_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
 
 # Sort key for paths: their order, run as a C tuple compare.
 _segments = attrgetter("segments")
-
-
-def _on_segments(compare):
-    # An AccountPath ordering: compare segments, within the class only.
-    def method(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return compare(self.segments, other.segments)
-    return method
 
 
 class AccountPath(_Record):
@@ -67,35 +58,23 @@ class AccountPath(_Record):
     def parent(self) -> AccountPath | None:
         if len(self.segments) == 1:
             return None
-        return AccountPath(self.segments[:-1])
+        return AccountPath._prefix(self.segments[:-1])
 
     @property
     def leaf(self) -> str:
         return self.segments[-1]
 
-    @property
-    def depth(self) -> int:
-        return len(self.segments)
-
     def child(self, segment: str) -> AccountPath:
         return AccountPath(self.segments + (segment,))
 
-    def is_ancestor_of(self, other: AccountPath) -> bool:
-        """Proper-prefix test: self is strictly above other."""
-        return (
-            len(self.segments) < len(other.segments)
-            and other.segments[: len(self.segments)] == self.segments
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.segments == other.segments
+    def covers(self, other: AccountPath) -> bool:
+        """Subtree test: other is this path or lies under it."""
+        return other.segments[: len(self.segments)] == self.segments
 
     def __hash__(self) -> int:
         return hash((self.segments,))
 
-    __lt__, __le__, __gt__, __ge__ = map(_on_segments, (lt, le, gt, ge))
+    __lt__, __le__, __gt__, __ge__ = _orderings("segments")
 
     def __str__(self) -> str:
         return ":".join(self.segments)
@@ -124,9 +103,7 @@ class Chart(_Record):
         Re-declaring an already declared path raises: it signals a
         journal authoring mistake.
         """
-        nodes = dict(self.nodes)
-        _declare(nodes, path)
-        return Chart(nodes)
+        return self.declare_all((path,))
 
     def declare_all(self, paths: Iterable[AccountPath]) -> Chart:
         """declare() over paths in order, with one copy of the nodes."""
@@ -138,23 +115,14 @@ class Chart(_Record):
     def __contains__(self, path: AccountPath) -> bool:
         return path in self.nodes
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
     def is_declared(self, path: AccountPath) -> bool:
         return bool(self.nodes.get(path))
 
     def children(self, path: AccountPath) -> tuple[AccountPath, ...]:
-        return tuple(sorted(p for p in self.nodes if p.parent == path))
-
-    def is_leaf(self, path: AccountPath) -> bool:
-        """Postable test: present and without children."""
-        if path not in self.nodes:
-            return False
-        return not any(p.parent == path for p in self.nodes)
-
-    def roots(self) -> tuple[AccountPath, ...]:
-        return tuple(sorted(p for p in self.nodes if p.depth == 1))
+        segments = path.segments
+        return tuple(
+            sorted((p for p in self.nodes if p.segments[:-1] == segments), key=_segments)
+        )
 
     def leaves(self) -> tuple[AccountPath, ...]:
         parents = {p.segments[:-1] for p in self.nodes}
@@ -166,14 +134,7 @@ class Chart(_Record):
         """All postable leaves in the subtree rooted at path (inclusive)."""
         if path not in self.nodes:
             raise UnknownAccountError(f"unknown account {path}")
-        parents = {p.parent for p in self.nodes}
-        return tuple(
-            sorted(
-                p
-                for p in self.nodes
-                if p not in parents and (p == path or path.is_ancestor_of(p))
-            )
-        )
+        return tuple(p for p in self.leaves() if path.covers(p))
 
     def declared_paths(self) -> tuple[AccountPath, ...]:
         return tuple(

@@ -179,9 +179,12 @@ class Ledger(_Record):
 
     def aggregate(self, path: AccountPath) -> TAccount:
         """Componentwise sum of every leaf in the subtree at path."""
+        if path not in self.chart:
+            raise UnknownAccountError(f"unknown account {path}")
         out = TAccount.zero()
-        for leaf in self.chart.leaves_under(path):
-            out = out + self.balances[leaf]
+        for leaf, entry in self.balances.items():
+            if path.covers(leaf):
+                out = out + entry
         return out
 
     def total(self) -> TAccount:

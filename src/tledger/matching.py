@@ -98,10 +98,6 @@ def build_schedule(
     vectors can be fed to MatchingSchedule directly; straight-line is
     the only built-in generator.
     """
-    if n < 1:
-        raise ValueError("schedule needs at least one period")
-    if not total:
-        raise ValueError("schedule total must be positive")
     periods = tuple((add_years(start, k), Amount(1, n)) for k in range(1, n + 1))
     return MatchingSchedule(
         source, counterpart_prefix, total, periods, mode, start=start, span=span

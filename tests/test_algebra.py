@@ -138,6 +138,30 @@ class TestAmount:
     def test_decimal_rendering_half_even(self, text, places, want):
         assert Amount.parse(text).to_decimal(places) == want
 
+    def test_ordering(self):
+        small, large = Amount(1, 3), Amount(1, 2)
+        assert small < large and small <= large and large > small and large >= small
+        assert small <= Amount(2, 6) and small >= Amount(2, 6)
+        assert not small < Amount(2, 6) and not small > Amount(2, 6)
+        assert sorted([large, small]) == [small, large]
+        assert min(large, small) is small
+
+    @pytest.mark.parametrize(
+        "compare",
+        [
+            lambda: Amount(1) < 2,
+            lambda: Amount(1) <= None,
+            lambda: Amount(1) > Fraction(1, 2),
+            lambda: Amount(1) >= 1,
+            lambda: 2 > Amount(1),
+            lambda: sorted([Amount(1), 2]),
+        ],
+        ids=["lt-int", "le-None", "gt-Fraction", "ge-int", "reflected", "sorted"],
+    )
+    def test_ordering_against_another_type_is_a_type_error(self, compare):
+        with pytest.raises(TypeError):
+            compare()
+
     def test_reciprocal(self):
         assert Amount(2, 5).reciprocal() == Amount(5, 2)
         with pytest.raises(ZeroDivisionError):

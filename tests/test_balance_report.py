@@ -58,7 +58,7 @@ def reference_report(journal: Journal, at, opts: RenderOptions) -> tuple[int, st
         return [f"{'  ' * (depth + 1)}{path.leaf}  {value}"] + child_lines
 
     lines = [f"balance as of {cutoff.isoformat()}"]
-    for root in chart.roots():
+    for root in sorted(p for p in chart.nodes if len(p.segments) == 1):
         lines.extend(visit(root, 0))
     lines.append(_zero_check_line(ledger.total(), opts.places))
     return 0, "\n".join(lines) + "\n"

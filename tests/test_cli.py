@@ -499,10 +499,10 @@ class TestOnePassBalanceTree:
         calls["paths"] = 0
         code, out, _ = run(capsys, "balance", str(f), "--show-zero")
         assert code == 0
-        assert len(out.splitlines()) == len(chart) + 2
+        assert len(out.splitlines()) == len(chart.nodes) + 2
         assert calls["aggregate"] == calls["children"] == calls["leaves_under"] == 0
         # the report itself builds at most one path per node: its parent
-        assert calls["paths"] - parse_and_replay <= len(chart)
+        assert calls["paths"] - parse_and_replay <= len(chart.nodes)
 
 
 class TestDeepPaths:
