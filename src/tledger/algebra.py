@@ -26,9 +26,7 @@ from operator import attrgetter, ge, gt, le, lt
 
 __all__ = ["Amount", "TAccount"]
 
-_DECIMAL_RE = re.compile(r"^([0-9]+)\.([0-9]+)$")
-_RATIONAL_RE = re.compile(r"^([0-9]+)/([0-9]+)$")
-_INTEGER_RE = re.compile(r"^[0-9]+$")
+_AMOUNT_RE = re.compile(r"([0-9]+)(?:\.([0-9]+)|/([0-9]+))?")
 
 
 _CHUNK = 10**600  # below 640, the lowest int-string limit an interpreter accepts
@@ -179,18 +177,21 @@ class Amount:
         before reduction); no floating point is involved. Raises
         ValueError for malformed input or a zero denominator.
         """
-        # The patterns admit digits only, so every value is non-negative.
-        if _INTEGER_RE.match(text):
-            return cls._wrap(Fraction(int(text)))
-        if m := _DECIMAL_RE.match(text):
-            whole, frac = m.group(1), m.group(2)
-            return cls._wrap(Fraction(int(whole + frac), 10 ** len(frac)))
-        if m := _RATIONAL_RE.match(text):
-            num, den = int(m.group(1)), int(m.group(2))
-            if den == 0:
-                raise ValueError("zero denominator")
-            return cls._wrap(Fraction(num, den))
+        if m := _AMOUNT_RE.fullmatch(text):
+            return cls._literal(*m.groups())
         raise ValueError(f"malformed amount {text!r}")
+
+    @classmethod
+    def _literal(cls, whole: str, fraction: str | None, denominator: str | None) -> Amount:
+        # The groups of _AMOUNT_RE: digits only, so the value is non-negative.
+        if fraction is not None:
+            return cls._wrap(Fraction(int(whole + fraction), 10 ** len(fraction)))
+        if denominator is None:
+            return cls._wrap(Fraction(int(whole)))
+        num, den = int(whole), int(denominator)
+        if den == 0:
+            raise ValueError("zero denominator")
+        return cls._wrap(Fraction(num, den))
 
     @property
     def numerator(self) -> int:

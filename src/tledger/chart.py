@@ -17,7 +17,7 @@ from .errors import DuplicateAccountError, UnknownAccountError
 
 __all__ = ["AccountPath", "Chart"]
 
-SEGMENT_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
+SEGMENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")  # with .match: the whole segment
 
 # Sort key for paths: their order, run as a C tuple compare.
 _segments = attrgetter("segments")

@@ -74,7 +74,8 @@ class Posting(_Record):
         object.__setattr__(self, "account", account)
         object.__setattr__(self, "entry", entry)
         object.__setattr__(self, "span", span)
-        if not entry.is_canonical:
+        # the shared zero on one side makes an entry canonical without a test
+        if not (entry.debit is _ZERO_AMOUNT or entry.credit is _ZERO_AMOUNT or entry.is_canonical):
             raise ValueError(f"posting entry must be a pure debit or credit, got {entry}")
 
 

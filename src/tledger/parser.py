@@ -1,24 +1,31 @@
 """The plain-text journal language: parsing, serializing, validating.
 
-The format is line-oriented and diffable:
+Journals are line-oriented and diffable. Their ISO EBNF, which README.md quotes:
 
-    ; comment to end of line
-    basis 1234567.89
-    account assets:cash
-    schedule assets:machine expenses:interest 2/5 over 5 yearly from 2020-01-04 mode direct
+    journal     = line , { ? line feed ? , line } ;
+    line        = [ basis | declaration | schedule | header | posting ] , [ ws ] ,
+                  [ ";" , { ? any character but a line feed ? } ] ;
+    basis       = "basis" , ws , amount ;
+    declaration = "account" , ws , path ;
+    schedule    = "schedule" , ws , path , ws , path , ws , amount , ws , "over" , ws ,
+                  digits , ws , "yearly" , ws , "from" , ws , date , ws , "mode" , ws ,
+                  ( "direct" | "contra" ) ;
+    header      = date , ws , '"' , { ? any character but a line feed, '"' or ';' ? } , '"' ;
+    posting     = ( " " | ? tab ? ) , [ ws ] , path , ws , side , ws , amount ;
+    side        = "dr" | "debit" | "cr" | "credit" ;
+    path        = segment , { ":" , segment } ;
+    segment     = letter , { letter | digit | "_" | "-" } ;
+    amount      = digits , [ "." , digits | "/" , digits ] ;
+    date        = digit , digit , digit , digit , "-" , digit , digit , "-" , digit , digit ;
+    digits      = digit , { digit } ;
+    ws          = ? one or more characters, none a line feed, that str.isspace accepts ? ;
+    letter      = ? A-Z or a-z ? ;
+    digit       = ? 0-9 ? ;
 
-    2020-01-01 "opening balance sheet"
-        assets:cash dr 1234567.89
-        equity:capital cr 1234567.89
-
-A transaction block is a date-and-description header followed by
-indented postings, terminated by a blank line or end of file. Amounts
-come in exactly two forms, decimals and rationals, and both parse
-exactly: 493827.16 becomes 49382716/100 before reduction, never a float.
-
-Each distinct account token is checked once per file: the parser keeps
-one AccountPath per token, so every posting to an account shares it,
-and it builds the chart in one pass, as a single Chart at end of file.
+A transaction block is a header and its postings, up to a blank line or
+end of file; a comment-only line does not end it. All three forms of
+amount are exact: 493827.16 is 49382716/100, never a float. Dates,
+denominators, counts and, unless loose, declarations are checked too.
 
 Parsing never throws past this boundary: every problem becomes a
 diagnostic with a 1-based source span, and after an error the parser
@@ -31,7 +38,7 @@ from __future__ import annotations
 import datetime as dt
 import re
 
-from .algebra import Amount, TAccount, _Record
+from .algebra import _AMOUNT_RE, Amount, TAccount, _Record
 from .chart import AccountPath, Chart, _declare
 from .diagnostics import ParseDiagnostic, Severity, SourceSpan
 from .errors import DuplicateAccountError
@@ -46,14 +53,20 @@ __all__ = [
     "FileReport",
 ]
 
-_DATE_RE = re.compile(r"^[0-9]{4}-[0-9]{2}-[0-9]{2}$")
-_HEADER_RE = re.compile(r'^([0-9]{4}-[0-9]{2}-[0-9]{2})\s+"([^"]*)"\s*$')
-_SIDES = {"dr": "dr", "debit": "dr", "cr": "cr", "credit": "cr"}
+_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_HEADER_RE = re.compile(rf'({_DATE_RE.pattern})\s+"([^"]*)"\s*')
+_SIDES = {"dr": TAccount.dr, "debit": TAccount.dr, "cr": TAccount.cr, "credit": TAccount.cr}
+# A whole posting (groups 1-6) or header (7-8) line; tokens as _tokens splits them.
+_LINE_RE = re.compile(
+    rf"(?:([ \t]\s*)([^\s;]+)\s+(dr|debit|cr|credit)\s+{_AMOUNT_RE.pattern}"
+    rf'|({_DATE_RE.pattern})\s+"([^";]*)")\s*(?:;.*)?'
+)
+_TOKEN_RE = re.compile(r"\S+")
 
 
 def _tokens(line: str) -> list[tuple[str, int]]:
     """Whitespace-separated tokens with their 0-based column offsets."""
-    return [(m.group(0), m.start()) for m in re.finditer(r"\S+", line)]
+    return [(m.group(0), m.start()) for m in _TOKEN_RE.finditer(line)]
 
 
 class _FileParser:
@@ -115,7 +128,7 @@ class _FileParser:
             return None
 
     def parse_date(self, token: str, col: int) -> dt.date | None:
-        if not _DATE_RE.match(token):
+        if not _DATE_RE.fullmatch(token):
             self.error(f"malformed date {token!r}", self.span(col, len(token)))
             return None
         try:
@@ -144,23 +157,18 @@ class _FileParser:
     def run(self) -> tuple[Journal | None, list[ParseDiagnostic]]:
         for raw in self.lines:
             self.lineno += 1
-            line = raw.rstrip("\r")
-            blank = not line.strip()
-            comment = line.find(";")
-            if comment >= 0:
-                line = line[:comment]
-            if blank:
+            m = _LINE_RE.fullmatch(raw)
+            if m and self.fast_line(m):
+                continue
+            line = raw.partition(";")[0]
+            if not raw.strip():
                 self.close_transaction()
                 self.recovering = False
-                continue
-            if not line.strip():
-                continue  # comment-only line; does not end a block
-            if self.recovering:
-                continue
-            if line[0] in (" ", "\t"):
-                self.handle_posting(line)
-            else:
-                self.handle_top_level(line)
+            elif line.strip() and not self.recovering:  # comment-only lines keep a block open
+                if line[0] in (" ", "\t"):
+                    self.handle_posting(line)
+                else:
+                    self.handle_top_level(line)
         self.close_transaction()
         if any(d.severity is Severity.ERROR for d in self.diagnostics):
             return None, self.diagnostics
@@ -305,7 +313,7 @@ class _FileParser:
         )
 
     def handle_header(self, line: str):
-        m = _HEADER_RE.match(line.rstrip())
+        m = _HEADER_RE.fullmatch(line)
         if m is None:
             self.error(
                 'expected transaction header: <YYYY-MM-DD> "<description>"',
@@ -318,7 +326,29 @@ class _FileParser:
             self.recovering = True
             return
         self.header = (date, m.group(2), self.line_span(line))
-        self.postings = []
+
+    def fast_line(self, m: re.Match) -> bool:
+        """Take a line _LINE_RE matched; False leaves it untouched for the handlers."""
+        indent, token, side, whole, fraction, den, date, description = m.groups()
+        if indent is None:  # a header, which opens a block
+            if self.header is not None or self.recovering:
+                return False
+            try:
+                day = dt.date.fromisoformat(date)
+            except ValueError:  # no such day
+                return False
+            self.header = (day, description, SourceSpan(self.file, self.lineno, 1, m.end(8) + 1))
+            return True
+        path = self.paths.get(token)
+        if self.header is None or not self.nodes.get(path):
+            return False  # outside a block, or not an account parsed and declared
+        try:
+            amount = Amount._literal(whole, fraction, den)
+        except ValueError:  # a zero denominator, or past the int-string limit
+            return False
+        span = SourceSpan(self.file, self.lineno, len(indent) + 1, len(token))
+        self.postings.append(Posting(path, _SIDES[side](amount), span))
+        return True
 
     def handle_posting(self, line: str):
         if self.header is None:
@@ -349,10 +379,8 @@ class _FileParser:
             return
         if not self.resolve_account(path, toks[0][1], toks[0][0]):
             return
-        entry = TAccount.dr(amount) if side == "dr" else TAccount.cr(amount)
-        self.postings.append(
-            Posting(path, entry, span=self.span(toks[0][1], len(toks[0][0])))
-        )
+        span = self.span(toks[0][1], len(toks[0][0]))
+        self.postings.append(Posting(path, side(amount), span))
 
 
 def parse_journal(

@@ -106,3 +106,139 @@ def random_journal(
     if rng.random() < 0.5:
         basis = Amount(rng.randint(1, 10**6), rng.randint(1, 100))
     return Journal(chart, transactions, schedules, basis)
+
+
+def restyled(text: str, rng: random.Random) -> str:
+    """The same journal in other well-formed spellings.
+
+    Posting and header lines get other indents and separators (tab,
+    U+3000, no-break space), the longhand side keywords, integer amounts
+    as decimals, trailing whitespace, comments and CRs.
+    """
+    out = []
+    gaps = [" ", "\t", "  ", "\u00a0", " \u3000"]
+    for line in text.split("\n"):
+        if line.startswith("    "):
+            account, side, amount = line.split()
+            if rng.random() < 0.5:
+                side = {"dr": "debit", "cr": "credit"}[side]
+            if amount.isdigit() and rng.random() < 0.5:
+                amount += rng.choice([".0", ".00"])
+            indent = rng.choice(["    ", "\t", " \t", " \u3000", " "])
+            line = indent + account + rng.choice(gaps) + side + rng.choice(gaps) + amount
+        elif line[:1].isdigit():
+            date, description = line.split(" ", 1)
+            line = date + rng.choice(gaps) + description
+        else:
+            out.append(line)
+            continue
+        line += rng.choice(["", " ", "\t", " ; a note", ";x", "\x1c", " ;"])
+        out.append(line + rng.choice(["", "", "\r"]))
+    return "\n".join(out)
+
+
+_HOSTILE_DECLARATIONS = (
+    "account assets:cash\naccount assets:bank\naccount equity:capital\n"
+    "account x\naccount x:y\n\n"
+)
+_HOSTILE_POSTINGS = [
+    "\tassets:cash dr 5",
+    " \t assets:cash dr 5",
+    "\u3000assets:cash dr 5",
+    " \u3000assets:cash dr 5",
+    "    assets:cash dr 5\x1c",
+    "    assets:cash\x1cdr\x1c5",
+    "    assets:cash\u00a0dr 5",
+    "    assets:cash debit 5",
+    "    assets:cash credit 5",
+    "    assets:cash DR 5",
+    "    assets:cash dr 1/0",
+    "    assets:cash dr 5/0000",
+    "    assets:cash dr 0/5",
+    "    assets:cash dr 007",
+    "    assets:cash dr 1.",
+    "    assets:cash dr .5",
+    "    assets:cash dr 5.",
+    "    assets:cash dr -5",
+    "    assets:cash dr +5",
+    "    assets:cash dr 1e3",
+    "    assets:cash dr \uff15",
+    "    assets:cash dr " + "9" * 4300,
+    "    assets:cash dr " + "9" * 4301,
+    "    assets:cash dr 1/" + "7" * 4301,
+    "    assets:cash dr " + "1" * 2150 + "." + "1" * 2151,
+    "    undeclared:account dr 5",
+    "    assets dr 5",
+    "    x dr 5",
+    "    Assets:Cash dr 5",
+    "    assets:cash: dr 5",
+    "    assets:cash dr",
+    "    assets:cash dr 5 extra",
+    "    assets:cash dr 5 ; a comment",
+    "    assets:cash dr 5;a comment",
+    "    assets:cash dr 5 ;",
+    "    assets:cash dr;5",
+    "    as;sets:cash dr 5",
+    "    assets:cash dr 5\r",
+    "    ; a comment-only line",
+]
+_HOSTILE_HEADERS = [
+    '2020-02-30 "t"',
+    '2020-13-01 "t"',
+    '0000-01-01 "t"',
+    '9999-12-31 "t"',
+    '2020-01-01 "t"   ',
+    '2020-01-01 "t" ; a comment',
+    '2020-01-01 "t";c',
+    '2020-01-01 "a;b"',
+    '2020-01-01 "t" x',
+    '2020-01-01"t"',
+    '2020-1-01 "t"',
+    '2020-01-01 "t',
+    '2020-01-01 "t"\r',
+    '2020-01-01\t"t"',
+    '2020-01-01\u3000"t"',
+    '2020-01-01 "t" "u"',
+    '\uff12020-01-01 "t"',
+    ' 2020-01-01 "t"',
+    '\u30002020-01-01 "t"',
+]
+
+
+def hostile_journals() -> list[str]:
+    """Small journals whose lines probe the edges of the line grammar.
+
+    Each varies one posting line or one header line of a balanced block,
+    or arranges well-formed lines where they do not belong: a posting
+    outside a block, a header inside one, lines after an error, loose
+    use of an undeclared account, CRLF, a byte order mark.
+    """
+    block = '2020-01-01 "t"\n{}\n    equity:capital cr 5\n'
+    texts = [_HOSTILE_DECLARATIONS + block.format(p) for p in _HOSTILE_POSTINGS]
+    texts += [
+        _HOSTILE_DECLARATIONS + f"{h}\n    assets:cash dr 5\n    equity:capital cr 5\n"
+        for h in _HOSTILE_HEADERS
+    ]
+    good = block.format("    assets:cash dr 5")
+    texts += [
+        _HOSTILE_DECLARATIONS + "    assets:cash dr 5\n\n" + good,
+        _HOSTILE_DECLARATIONS + good + good,
+        _HOSTILE_DECLARATIONS
+        + '2020-01-01 "t"\n    assets:cash dr 5 5\n    assets:cash dr 5\n'
+        + '2020-01-02 "u"\n    equity:capital cr 5\n  \t\n'
+        + good,
+        _HOSTILE_DECLARATIONS
+        + '2020-01-01 "t"\n    assets:cash DR 5\n    assets:cash dr 5\n'
+        + '2020-01-02 "u"\n    equity:capital cr 5\n',
+        _HOSTILE_DECLARATIONS
+        + '2020-02-30 "t"\n    assets:cash dr 5\n    equity:capital cr 5\n\n'
+        + good,
+        _HOSTILE_DECLARATIONS
+        + '2020-01-01 "t"\n    new:a dr 5\n    new:a cr 5\n    new:b dr 1\n'
+        + "    new dr 1\n    new:b cr 2\n    new dr 1\n    assets dr 1\n"
+        + "    assets dr 1\n    x dr 1\n    x cr 1\n",
+        (_HOSTILE_DECLARATIONS + good + "\n" + good).replace("\n", "\r\n"),
+        "\ufeff" + _HOSTILE_DECLARATIONS + good,
+        good,
+    ]
+    return texts

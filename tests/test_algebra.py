@@ -115,6 +115,12 @@ class TestAmount:
         with pytest.raises(ValueError):
             Amount.parse(bad)
 
+    @pytest.mark.parametrize("text", ["12\n", "1.5\n", "2/5\n", "0\n"])
+    def test_parse_rejects_a_trailing_newline(self, text):
+        # "$" once matched before a final newline, so "12\n" read as 12
+        with pytest.raises(ValueError, match="malformed amount"):
+            Amount.parse(text)
+
     @given(st.integers(0, 10**9), st.integers(1, 12))
     def test_decimal_literals_are_exact(self, scaled, places):
         digits = str(scaled).rjust(places + 1, "0")

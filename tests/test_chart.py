@@ -40,6 +40,11 @@ class TestAccountPath:
         with pytest.raises(ValueError):
             AccountPath.parse(bad)
 
+    @pytest.mark.parametrize("text", ["assets:cash\n", "assets\n:cash", "cash\n"])
+    def test_a_trailing_newline_is_not_part_of_a_segment(self, text):
+        with pytest.raises(ValueError, match="invalid account segment"):
+            AccountPath.parse(text)
+
     def test_case_sensitive(self):
         assert p("Assets") != p("assets")
 

@@ -421,6 +421,14 @@ class TestSerialization:
             assert [d for d in diagnostics if d.severity is Severity.ERROR] == []
             assert reparsed == journal
 
+    def test_no_account_serializes_across_two_lines(self):
+        # "account assets:cash\n" would parse back as another chart
+        text = 'account assets:cash\naccount b\n\n2020-01-01 "x"\n    assets:cash dr 1\n    b cr 1\n'
+        journal, _ = parse_ok(text)
+        with pytest.raises(ValueError, match="invalid account segment"):
+            journal.chart.declare(AccountPath.parse("assets:cash\n"))
+        assert parse_ok(serialize_journal(journal))[0] == journal
+
     def test_unrepresentable_description_rejected(self):
         from tledger import Chart, Journal, Posting, Transaction
         import datetime as dt
