@@ -321,8 +321,10 @@ class TAccount(_Record):
         The result is equivalent to the input and has a zero on at least
         one side. Idempotent.
         """
-        common = min(self.debit, self.credit)
-        return TAccount(self.debit - common, self.credit - common)
+        debit, credit = self.debit, self.credit
+        if debit >= credit:
+            return TAccount(debit - credit, _ZERO_AMOUNT)
+        return TAccount(_ZERO_AMOUNT, credit - debit)
 
     def balance(self) -> Fraction:
         """The signed value of the class: debit minus credit.

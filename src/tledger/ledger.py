@@ -16,8 +16,10 @@ difference of two lookups, as the identity above allows.
 The replay runs on exact integers. The group laws hold for any common
 scaling of both sides, so with D the least common multiple of every
 posting amount's denominator, each amount n/d is the integer n·(D/d)
-and a cumulative pair is two integers over D. A view turns into
-TAccounts only the pairs it returns.
+and a cumulative pair is two integers over D. The replay proves itself
+on those integers: every step leaves the tree total unchanged, and the
+whole tree ends a zero representative. A view turns into TAccounts only
+the pairs it returns.
 
 Journals and ledgers are immutable; every operation returns a new value,
 so derivations may run concurrently over the same journal.
@@ -290,14 +292,15 @@ def _scaled_stream(txs) -> tuple[int, Iterator]:
     return scale, ((tx, values(tx)) for tx in txs)
 
 
-def _replay_step(chart: Chart, pairs: dict, tx: Transaction, values: list) -> None:
+def _replay_step(chart: Chart, pairs: dict, tx: Transaction, values: list) -> tuple[int, int]:
     """The replay step on scaled values: check tx, resolve every posting,
     then add each value to its leaf's (debit, credit) pair in place.
 
     A transaction with fewer than two postings or unequal sides goes
     through validate_transaction, so it fails with the same error and
     span as on TAccounts. Nothing is added until every posting has
-    resolved, so a failed step leaves the pairs untouched.
+    resolved, so a failed step leaves the pairs untouched. Returns the
+    summed debits and credits of the values.
     """
     debit = credit = 0
     for _, d, c in values:
@@ -310,20 +313,23 @@ def _replay_step(chart: Chart, pairs: dict, tx: Transaction, values: list) -> No
     for a, d, c in values:
         old_debit, old_credit = pairs[a]
         pairs[a] = (old_debit + d, old_credit + c)
+    return debit, credit
 
 
 class _Replay(_Record):
     """One pass of the replay step over a journal's expanded stream.
 
     Sides are integers over scale. pairs holds each leaf's final raw
-    pair, and last is the last posted transaction. history maps each
-    leaf to the dates of the posted steps that moved it, in stream
-    order, and to its cumulative pair after each of them. faults lists,
-    in stream order, every step that raised (with its error) and every
-    posted step that failed the zero-change check (with None).
+    pair. history maps each leaf to the dates of the posted steps that
+    moved it, in stream order, and to its cumulative pair after each of
+    them. faults lists, in stream order, every step that raised (with
+    its error) and every posted step that failed the zero-change check
+    (with None); then, if the final tree is not a zero representative,
+    the last posted step (with None). Views build TAccounts only for
+    the pairs they return.
     """
 
-    _fields = ("chart", "scale", "pairs", "posted", "last", "faults", "history")
+    __slots__ = _fields = ("chart", "scale", "pairs", "posted", "faults", "history")
 
     def taccount(self, debit: int, credit: int) -> TAccount:
         """A pair of integers over scale as a TAccount; a side below zero raises."""
@@ -335,11 +341,6 @@ class _Replay(_Record):
         if n == 0:
             return _ZERO_AMOUNT
         return Amount(n, self.scale)  # raises the checked constructor's error
-
-    @cached_property
-    def ledger(self) -> Ledger:
-        """The final raw state."""
-        return Ledger(self.chart, {a: self.taccount(*p) for a, p in self.pairs.items()})
 
     def raise_first(self, after: dt.date | None, through: dt.date) -> None:
         """Raise the first error of a step dated in (after, through].
@@ -403,28 +404,28 @@ class Journal(_Record):
         Each step is checked as it goes: its debits must equal its
         credits, and the summed pairs of the accounts it touched must
         move by exactly its values, so it leaves the tree total
-        unchanged. Both checks compare the scaled values exactly.
+        unchanged. A step sees only the leaves it touches, so after the
+        last one, unless a step has already failed that check, the
+        summed debits of the whole tree must equal its summed credits.
+        Every check compares the scaled values exactly.
         """
         chart, txs = self.expand()
         scale, stream = _scaled_stream(txs)
         pairs = {leaf: (0, 0) for leaf in chart.leaves()}
         history = {leaf: ([], []) for leaf in pairs}
         faults: list[tuple[Transaction, LedgerError | None]] = []
-        posted, last = 0, None
+        posted, last, drifted = 0, None, False
         for tx, values in stream:
             touched = {a for a, _, _ in values}
             before = [pairs.get(a, (0, 0)) for a in touched]
             try:
-                _replay_step(chart, pairs, tx, values)
+                debit, credit = _replay_step(chart, pairs, tx, values)
             except LedgerError as err:
                 faults.append((tx, err.with_traceback(None)))
                 continue
             posted += 1
             last = tx
-            debit = credit = moved_debit = moved_credit = 0
-            for _, d, c in values:
-                debit += d
-                credit += c
+            moved_debit = moved_credit = 0
             for d, c in before:
                 moved_debit -= d
                 moved_credit -= c
@@ -437,7 +438,10 @@ class Journal(_Record):
                 moved_credit += pair[1]
             if debit != credit or (moved_debit, moved_credit) != (debit, credit):
                 faults.append((tx, None))
-        return _Replay(chart, scale, pairs, posted, last, tuple(faults), history)
+                drifted = True
+        if last is not None and not drifted and sum(d - c for d, c in pairs.values()):
+            faults.append((last, None))
+        return _Replay(chart, scale, pairs, posted, tuple(faults), history)
 
     def stock_at(self, cutoff: dt.date) -> Ledger:
         """Balance-sheet view: everything dated on or before cutoff, reduced."""

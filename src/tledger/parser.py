@@ -167,6 +167,12 @@ class _FileParser:
             elif line.strip() and not self.recovering:  # comment-only lines keep a block open
                 if line[0] in (" ", "\t"):
                     self.handle_posting(line)
+                elif line[0].isspace():
+                    self.error(
+                        f"indent must be spaces or tabs, got U+{ord(line[0]):04X}",
+                        self.span(0, len(line) - len(line.lstrip())),
+                        recover=True,
+                    )
                 else:
                     self.handle_top_level(line)
         self.close_transaction()
@@ -484,13 +490,12 @@ def validate_file(
     """Parse, then replay: every transaction must balance and post cleanly.
 
     The replay is the journal's own, the one its views read, and it
-    checks the engine as it goes: each posted transaction must leave the
-    tree total unchanged (see Journal._replay). After the replay, unless
-    a step has already failed that check, the whole tree is checked once
-    to be a zero representative. A violation of either would be an
-    engine bug and is reported as an internal inconsistency. Problems
-    are aggregated as diagnostics, never thrown. A valid file's report
-    carries its journal.
+    checks the engine on its scaled integers (see Journal._replay): each
+    posted transaction must leave the tree total unchanged, and the
+    whole tree must end a zero representative. A violation of either
+    would be an engine bug and is reported as an internal inconsistency.
+    Problems are aggregated as diagnostics, never thrown. A valid
+    file's report carries its journal.
     """
     journal, diagnostics = parse_journal(text, file=file, strict=strict)
     diags = list(diagnostics)
@@ -499,18 +504,14 @@ def validate_file(
         return FileReport("parse-error", tuple(diags), 0, f"{n} parse error(s)")
     fallback = SourceSpan(file, 1, 1, 1)
     replay = journal._replay
-    consistent = True
     for tx, err in replay.faults:
         if err is None:
             diags.append(_inconsistency(tx, fallback))
-            consistent = False
         else:
             diags.append(
                 ParseDiagnostic(Severity.ERROR, str(err), err.span or fallback)
             )
-    last, posted = replay.last, replay.posted
-    if consistent and last is not None and not replay.ledger.total().is_zero:
-        diags.append(_inconsistency(last, fallback))
+    posted = replay.posted
     errors = sum(1 for d in diags if d.severity is Severity.ERROR)
     if errors:
         return FileReport(

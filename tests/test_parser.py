@@ -330,6 +330,34 @@ class TestDiagnostics:
         errs = errors_of(text)
         assert any("expected posting or blank line" in e.message for e in errs)
 
+    @pytest.mark.parametrize(
+        "indent",
+        ["\u3000", "\xa0", "\x1c", "\u3000 \t"],
+        ids=["U+3000", "U+00A0", "U+001C", "mixed"],
+    )
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "account c",
+            "basis 5",
+            "schedule a b 1 over 2 yearly from 2020-01-01 mode direct",
+            '2020-01-01 "x"\n    a dr 1\n    b cr 1',
+        ],
+        ids=["account", "basis", "schedule", "header"],
+    )
+    def test_other_whitespace_indent_is_one_error_at_the_indent(self, indent, line):
+        journal, diagnostics = parse_journal(f"account a\naccount b\n\n{indent}{line}\n")
+        assert journal is None
+        [diag] = diagnostics
+        assert diag.severity is Severity.ERROR
+        assert diag.message == f"indent must be spaces or tabs, got U+{ord(indent[0]):04X}"
+        assert (diag.span.line, diag.span.column, diag.span.length) == (4, 1, len(indent))
+
+    def test_other_whitespace_indent_inside_a_block(self):
+        text = 'account a\naccount b\n\n2020-01-01 "x"\n    a dr 1\n\u3000b cr 1\n'
+        [diag] = parse_journal(text)[1]
+        assert diag.render() == "<journal>:6:1: error: indent must be spaces or tabs, got U+3000"
+
 
 class TestLooseMode:
     def test_implicit_declaration_warns(self):
@@ -570,11 +598,12 @@ class TestValidateFile:
         calls = []
 
         def step_adds_a_debit_on_the_first_transaction(chart, pairs, tx, values):
-            real_step(chart, pairs, tx, values)
+            result = real_step(chart, pairs, tx, values)
             calls.append(None)
             if len(calls) == 1:
                 debit, credit = pairs[AccountPath.parse("a")]
                 pairs[AccountPath.parse("a")] = (debit + 1, credit)
+            return result
 
         monkeypatch.setattr(
             tledger.ledger, "_replay_step", step_adds_a_debit_on_the_first_transaction
@@ -600,10 +629,23 @@ class TestValidateFile:
         assert (diag.span.line, diag.span.column) == (4, 1)
 
     def test_inconsistent_final_total_is_reported(self, monkeypatch):
-        from tledger import Ledger
+        import tledger.ledger
+        from tledger import AccountPath
 
-        monkeypatch.setattr(Ledger, "total", lambda self: TAccount.dr(Amount(1)))
-        report = validate_file(self.TWO_STEPS)
+        real_step = tledger.ledger._replay_step
+        untouched = AccountPath.parse("c")
+
+        def step_adds_a_debit_to_a_leaf_it_does_not_touch(chart, pairs, tx, values):
+            result = real_step(chart, pairs, tx, values)
+            if tx.description == "first":
+                debit, credit = pairs[untouched]
+                pairs[untouched] = (debit + 1, credit)
+            return result
+
+        monkeypatch.setattr(
+            tledger.ledger, "_replay_step", step_adds_a_debit_to_a_leaf_it_does_not_touch
+        )
+        report = validate_file(self.TWO_STEPS + "\naccount c\n")
         assert report.status == "invalid"
         [diag] = report.diagnostics
         assert diag.message == (
@@ -612,20 +654,29 @@ class TestValidateFile:
         )
         assert (diag.span.line, diag.span.column) == (8, 1)
 
-    def test_tree_total_is_taken_once_per_replay(self, monkeypatch):
-        from tledger import Ledger
+    def test_validation_takes_no_tree_total_and_builds_no_taccounts(self, monkeypatch):
+        from tledger import Journal, Ledger
 
-        real_total = Ledger.total
-        calls = []
+        real_expand, real_init = Journal.expand, TAccount.__init__
+        events = []
 
-        def counted_total(self):
-            calls.append(None)
-            return real_total(self)
+        def expand(self):
+            expansion = real_expand(self)
+            events.append("expand")
+            return expansion
 
-        monkeypatch.setattr(Ledger, "total", counted_total)
+        def init(self, debit, credit):
+            events.append("taccount")
+            real_init(self, debit, credit)
+
+        monkeypatch.setattr(Journal, "expand", expand)
+        monkeypatch.setattr(TAccount, "__init__", init)
+        monkeypatch.setattr(Ledger, "total", lambda self: events.append("total"))
         report = validate_file(
             "account a\naccount b\n\n"
             "schedule a b 1 over 200 yearly from 2020-01-01 mode direct\n"
         )
         assert report.ok and report.transactions == 200
-        assert len(calls) == 1
+        assert "taccount" in events  # the parse and the schedule build entries
+        assert "total" not in events
+        assert events[events.index("expand"):] == ["expand"]

@@ -85,7 +85,7 @@ SPECS = {
         ["chart", "balances", ("as_of", object, None), ("interval", object, None)],
         None,
     ),
-    _Replay: (["chart", "scale", "pairs", "posted", "last", "faults", "history"], None),
+    _Replay: (["chart", "scale", "pairs", "posted", "faults", "history"], None),
     Journal: (
         [
             "chart",
@@ -394,7 +394,7 @@ def test_fields_cannot_be_set_or_deleted(cls):
 
 def test_layout_slots_and_cached_views():
     for cls in SPECS:
-        assert hasattr(VALUES[cls][0], "__dict__") is (cls in (Journal, _Replay)), cls
+        assert hasattr(VALUES[cls][0], "__dict__") is (cls is Journal), cls
     journal = Journal(VALUES[Journal][0].chart)
     assert "_replay" not in vars(journal)
     journal._replay
