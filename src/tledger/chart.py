@@ -30,11 +30,13 @@ class AccountPath(_Record):
     segment, which keeps reports deterministic.
     """
 
-    __slots__ = _fields = ("segments",)
+    __slots__ = ("segments", "_hash")
+    _fields = ("segments",)
 
     def __init__(self, segments: tuple[str, ...]):
         object.__setattr__(self, "segments", segments)
         self.__post_init__()
+        object.__setattr__(self, "_hash", hash((segments,)))
 
     def __post_init__(self):
         if not self.segments:
@@ -52,6 +54,7 @@ class AccountPath(_Record):
         # A proper prefix of a checked path's segments is itself valid.
         out = object.__new__(cls)
         object.__setattr__(out, "segments", segments)
+        object.__setattr__(out, "_hash", hash((segments,)))
         return out
 
     @property
@@ -72,7 +75,7 @@ class AccountPath(_Record):
         return other.segments[: len(self.segments)] == self.segments
 
     def __hash__(self) -> int:
-        return hash((self.segments,))
+        return self._hash  # hash((segments,)), computed once
 
     __lt__, __le__, __gt__, __ge__ = _orderings("segments")
 

@@ -103,15 +103,20 @@ def _resolve_cutoff(journal: Journal, at: dt.date | None) -> dt.date:
     return txs[-1].date if txs else dt.date.min
 
 
-def _percent_scaled(
-    journal: Journal, ledger: Ledger, opts: RenderOptions
-) -> Ledger | None:
+def _view(
+    journal: Journal, pairs: dict, opts: RenderOptions, as_of=None, interval=None
+) -> tuple[Ledger, TAccount] | None:
+    """The view on a lookup's integer pairs, and its total line's pair
+    summed on those integers; under --percent, both over the basis."""
+    replay = journal._replay
+    ledger, total = replay.view(pairs, as_of, interval), replay.total(pairs)
     if not opts.percent:
-        return ledger
+        return ledger, total
     if journal.basis is None:
         print("error: --percent requires a basis declaration", file=sys.stderr)
         return None
-    return ledger.scaled(journal.basis.reciprocal())
+    k = journal.basis.reciprocal()
+    return ledger.scaled(k), total.scale(k)
 
 
 # -- commands ---------------------------------------------------------
@@ -130,9 +135,10 @@ def cmd_balance(args, opts: RenderOptions) -> int:
         return code
     journal = report.journal
     cutoff = _resolve_cutoff(journal, args.at)
-    ledger = _percent_scaled(journal, journal.stock_at(cutoff), opts)
-    if ledger is None:
+    view = _view(journal, journal._stock_pairs(cutoff), opts, as_of=cutoff)
+    if view is None:
         return 1
+    ledger, total = view
 
     # Sorted paths are in pre-order: a parent sorts right before its
     # subtree. One pass from the end adds every node's balance and
@@ -156,7 +162,7 @@ def cmd_balance(args, opts: RenderOptions) -> int:
         for segs, v in value.items()
         if shown[segs]
     )
-    lines.append(_zero_check_line(ledger.total(), opts.places))
+    lines.append(_zero_check_line(total, opts.places))
     print("\n".join(lines))
     return 0
 
@@ -179,9 +185,10 @@ def cmd_flows(args, opts: RenderOptions) -> int:
     if start > end:
         print(f"error: inverted interval: {start} > {end}", file=sys.stderr)
         return 1
-    ledger = _percent_scaled(journal, journal.flow_between(start, end), opts)
-    if ledger is None:
+    view = _view(journal, journal._flow_pairs(start, end), opts, interval=(start, end))
+    if view is None:
         return 1
+    ledger, total = view
     lines = [f"flows from {start.isoformat()} to {end.isoformat()}"]
     for account, entry in ledger.items():
         net = entry.reduce()
@@ -192,7 +199,7 @@ def cmd_flows(args, opts: RenderOptions) -> int:
         else:
             side, amount = "dr", net.debit
         lines.append(f"  {account}  {side} {_fmt_value(amount.as_fraction, opts)}")
-    lines.append(_zero_check_line(ledger.total(), opts.places))
+    lines.append(_zero_check_line(total, opts.places))
     print("\n".join(lines))
     return 0
 
@@ -203,9 +210,10 @@ def cmd_equation(args, opts: RenderOptions) -> int:
         return code
     journal = report.journal
     cutoff = _resolve_cutoff(journal, args.at)
-    ledger = _percent_scaled(journal, journal.stock_at(cutoff), opts)
-    if ledger is None:
+    view = _view(journal, journal._stock_pairs(cutoff), opts, as_of=cutoff)
+    if view is None:
         return 1
+    ledger, total = view
     terms = ledger.nonzero_items()
     if terms:
         rendered = " + ".join(
@@ -214,7 +222,7 @@ def cmd_equation(args, opts: RenderOptions) -> int:
         print(f"0 = {rendered}")
     else:
         print("0 = (0, 0)")
-    print(_zero_check_line(ledger.total(), opts.places))
+    print(_zero_check_line(total, opts.places))
     return 0
 
 

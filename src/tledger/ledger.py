@@ -18,8 +18,11 @@ scaling of both sides, so with D the least common multiple of every
 posting amount's denominator, each amount n/d is the integer n·(D/d)
 and a cumulative pair is two integers over D. The replay proves itself
 on those integers: every step leaves the tree total unchanged, and the
-whole tree ends a zero representative. A view turns into TAccounts only
-the pairs it returns.
+whole tree ends a zero representative. A view turns into TAccounts
+only the pairs it returns. reconcile checks stock + flow ≡ stock on the
+integers of its three lookups (scaling by 1/D is injective, so the
+check agrees with one on TAccounts) and builds TAccounts only for its
+rows.
 
 Journals and ledgers are immutable; every operation returns a new value,
 so derivations may run concurrently over the same journal.
@@ -333,7 +336,18 @@ class _Replay(_Record):
 
     def taccount(self, debit: int, credit: int) -> TAccount:
         """A pair of integers over scale as a TAccount; a side below zero raises."""
+        if not (debit or credit):
+            return _ZERO
         return TAccount(self._side(debit), self._side(credit))
+
+    def view(self, pairs: dict, as_of=None, interval=None) -> Ledger:
+        """A view's integer pairs as the Ledger of TAccounts it returns."""
+        balances = {leaf: self.taccount(d, c) for leaf, (d, c) in pairs.items()}
+        return Ledger(self.chart, balances, as_of, interval)
+
+    def total(self, pairs: dict) -> TAccount:
+        """The componentwise sum of pairs: Ledger.total of their view."""
+        return self.taccount(sum(d for d, _ in pairs.values()), sum(c for _, c in pairs.values()))
 
     def _side(self, n: int) -> Amount:
         if n > 0:
@@ -445,18 +459,19 @@ class Journal(_Record):
 
     def stock_at(self, cutoff: dt.date) -> Ledger:
         """Balance-sheet view: everything dated on or before cutoff, reduced."""
+        return self._replay.view(self._stock_pairs(cutoff), as_of=cutoff)
+
+    def _stock_pairs(self, cutoff: dt.date) -> dict[AccountPath, tuple[int, int]]:
+        """stock_at's lookup: each leaf's reduced pair, as integers over scale."""
         replay = self._replay
         replay.raise_first(None, cutoff)
-        balances = {}
+        pairs = {}
         for leaf, (dates, sums) in replay.history.items():
             i = bisect_right(dates, cutoff)
-            if i:
-                debit, credit = sums[i - 1]
-                common = min(debit, credit)
-                balances[leaf] = replay.taccount(debit - common, credit - common)
-            else:
-                balances[leaf] = _ZERO
-        return Ledger(replay.chart, balances, cutoff, None)
+            debit, credit = sums[i - 1] if i else (0, 0)
+            common = min(debit, credit)
+            pairs[leaf] = (debit - common, credit - common)
+        return pairs
 
     def flow_between(self, start: dt.date, end: dt.date) -> Ledger:
         """Flow view: raw componentwise posting sums over (start, end].
@@ -467,37 +482,40 @@ class Journal(_Record):
         validates it, so the grand total of a flow view is itself a
         zero representative.
         """
+        return self._replay.view(self._flow_pairs(start, end), interval=(start, end))
+
+    def _flow_pairs(self, start: dt.date, end: dt.date) -> dict[AccountPath, tuple[int, int]]:
+        """flow_between's lookup: each leaf's raw pair, as integers over scale."""
         if start > end:
             raise IntervalError(f"inverted interval: {start} > {end}")
         replay = self._replay
         replay.raise_first(start, end)
-        balances = {}
+        pairs = {}
         for leaf, (dates, sums) in replay.history.items():
             i, j = bisect_right(dates, start), bisect_right(dates, end)
-            if i == j:
-                balances[leaf] = _ZERO
-                continue
-            debit, credit = sums[j - 1]
+            debit, credit = sums[j - 1] if j else (0, 0)
             if i:
                 debit, credit = debit - sums[i - 1][0], credit - sums[i - 1][1]
-            balances[leaf] = replay.taccount(debit, credit)
-        return Ledger(replay.chart, balances, None, (start, end))
+            pairs[leaf] = (debit, credit)
+        return pairs
 
     def reconcile(self, start: dt.date, end: dt.date) -> ReconciliationReport:
         """Check stock(start) + flow(start, end] against stock(end) per account.
 
         Any violation signals an engine bug, not a journal problem: the
-        identity is forced by the algebra for every valid journal.
+        identity is forced by the algebra for every valid journal. The
+        check runs on the three lookups' integers, which stand for the
+        same classes as the TAccounts the rows carry.
         """
-        opening = self.stock_at(start)
-        flow = self.flow_between(start, end)
-        closing = self.stock_at(end)
+        opening = self._stock_pairs(start)
+        flow = self._flow_pairs(start, end)
+        closing = self._stock_pairs(end)
+        taccount = self._replay.taccount
         rows = []
-        for account in sorted(closing.balances, key=_segments):
-            before, moved = opening.balances[account], flow.balances[account]
-            after = closing.balances[account]
-            ok = (before + moved).equivalent(after)
-            rows.append(ReconcileRow(account, before, moved, after, ok))
+        for account in sorted(closing, key=_segments):
+            (od, oc), (fd, fc), (cd, cc) = opening[account], flow[account], closing[account]
+            views = taccount(od, oc), taccount(fd, fc), taccount(cd, cc)
+            rows.append(ReconcileRow(account, *views, od + fd + cc == oc + fc + cd))
         return ReconciliationReport(start, end, tuple(rows))
 
     def income_report(

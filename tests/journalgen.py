@@ -75,6 +75,19 @@ def first_primes(count: int) -> list[int]:
     return primes
 
 
+def prime_journal(rng, n_tx=40):
+    """Amounts k/p over distinct primes, so the scale D has hundreds of digits."""
+    accounts = ["assets:cash", "assets:bank", "income:sales", "expenses:rent", "equity:capital"]
+    lines = [f"account {a}" for a in accounts]
+    days = sorted(rng.randint(0, 365) for _ in range(n_tx))
+    for i, (day, p) in enumerate(zip(days, first_primes(n_tx + 20)[20:])):
+        a, b = rng.sample(accounts, 2)
+        k = rng.randint(1, 10**6)
+        date = dt.date(2020, 1, 1) + dt.timedelta(days=day)
+        lines += ["", f'{date} "t{i}"', f"    {a} dr {k}/{p}", f"    {b} cr {k}/{p}"]
+    return "\n".join(lines) + "\n"
+
+
 def random_journal(
     rng: random.Random, max_accounts: int = 50, max_transactions: int = 200
 ) -> Journal:

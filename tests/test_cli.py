@@ -254,6 +254,21 @@ class TestOneReplayPerCommand:
         assert calls == list(txs)
 
 
+class TestTotalLineOnIntegers:
+    """The total line comes from the view's integer pairs, not Ledger.total."""
+
+    @pytest.mark.parametrize("command", ["balance", "equation", "flows"])
+    @pytest.mark.parametrize("flags", [[], ["--percent"], ["--decimal", "2"]])
+    def test_reports_take_no_ledger_total(self, capsys, monkeypatch, fixture_file, command, flags):
+        from tledger import Ledger
+
+        calls = []
+        monkeypatch.setattr(Ledger, "total", lambda self: calls.append(self))
+        code, out, _ = run(capsys, command, fixture_file, *flags)
+        assert code == 0 and "  = 0  ok" in out
+        assert calls == []
+
+
 class TestSchedule:
     def test_fixture_schedule_prints_five_blocks(self, capsys, fixture_file):
         code, out, _ = run(capsys, "schedule", fixture_file)
@@ -530,8 +545,17 @@ class TestDeepPaths:
 
 class TestEntryPoint:
     def test_console_script(self, fixture_file):
+        # The child imports tledger from where this process did: the
+        # pytest pythonpath setting does not reach a subprocess.
+        import os
+
+        import tledger
+
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(tledger.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-m", "tledger.cli"], capture_output=True, text=True
+            [sys.executable, "-m", "tledger.cli"], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 2  # usage error: no command
 

@@ -8,13 +8,12 @@ _replay_step, which both paths call, on leaves a step touches and on
 leaves it does not; the two must give identical FileReports.
 """
 
-import datetime as dt
 import random
 
 import pytest
 
 import tledger.ledger
-from journalgen import first_primes, random_journal
+from journalgen import prime_journal, random_journal
 from tledger import Ledger, LedgerError, parse_journal, serialize_journal, validate_file
 from tledger.diagnostics import ParseDiagnostic, Severity, SourceSpan
 from tledger.ledger import _Replay, _scaled_stream
@@ -60,19 +59,6 @@ def reference_validate_file(text):
     return FileReport(
         "ok", tuple(diags), posted, f"ok: {posted} transactions, root ≡ 0", journal
     )
-
-
-def prime_journal(rng, n_tx=40):
-    """Amounts k/p over distinct primes, so the scale D has hundreds of digits."""
-    accounts = ["assets:cash", "assets:bank", "income:sales", "expenses:rent", "equity:capital"]
-    lines = [f"account {a}" for a in accounts]
-    days = sorted(rng.randint(0, 365) for _ in range(n_tx))
-    for i, (day, p) in enumerate(zip(days, first_primes(n_tx + 20)[20:])):
-        a, b = rng.sample(accounts, 2)
-        k = rng.randint(1, 10**6)
-        date = dt.date(2020, 1, 1) + dt.timedelta(days=day)
-        lines += ["", f'{date} "t{i}"', f"    {a} dr {k}/{p}", f"    {b} cr {k}/{p}"]
-    return "\n".join(lines) + "\n"
 
 
 def unbalanced(text, which=0):
