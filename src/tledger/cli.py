@@ -4,6 +4,11 @@ Every command is a pure read of a journal file: parse, validate, derive,
 print. Reports go to standard output, diagnostics to standard error.
 Exit codes: 0 success, 1 validation or usage-of-data failure, 2 parse
 failure. Identical inputs and flags produce byte-identical output.
+
+The reports print straight from the replay's integer pairs over D (see
+tledger.ledger): each printed number is an integer, or a difference of
+two, times one unit, 1/D or 1/D over the basis under --percent. Only the
+library views build TAccounts.
 """
 
 from __future__ import annotations
@@ -13,9 +18,9 @@ import datetime as dt
 import sys
 from fractions import Fraction
 
-from .algebra import Amount, TAccount, _Record, _rational, _signed
+from .algebra import Amount, _Record, _rational, _signed
 from .chart import _segments
-from .ledger import Journal, Ledger
+from .ledger import Journal
 from .matching import emit_schedule_transactions
 from .parser import FileReport, format_transaction_block, validate_file
 
@@ -52,29 +57,21 @@ def _fmt_value(value: Fraction, opts: RenderOptions) -> str:
     return _fmt_fraction(value, opts.places)
 
 
-def _fmt_pair(entry: TAccount, places: int | None) -> str:
-    debit = _fmt_fraction(entry.debit.as_fraction, places)
-    credit = _fmt_fraction(entry.credit.as_fraction, places)
-    return f"({debit}, {credit})"
+def _fmt_pair(debit: Fraction, credit: Fraction, places: int | None) -> str:
+    return f"({_fmt_fraction(debit, places)}, {_fmt_fraction(credit, places)})"
 
 
-def _zero_check_line(total: TAccount, places: int | None) -> str:
-    if total.is_zero:
-        return f"total  {_fmt_pair(total, places)}  = 0  ok"
-    residual = _signed(total.balance())
-    return f"total  {_fmt_pair(total, places)}  IMBALANCED residual {residual}"
+def _zero_check_line(pairs: dict, unit: Fraction, places: int | None) -> str:
+    """The total line: the componentwise sum of a view's integer pairs."""
+    debit = sum(d for d, _ in pairs.values()) * unit
+    credit = sum(c for _, c in pairs.values()) * unit
+    total = _fmt_pair(debit, credit, places)
+    if debit == credit:
+        return f"total  {total}  = 0  ok"
+    return f"total  {total}  IMBALANCED residual {_signed(debit - credit)}"
 
 
 # -- loading ----------------------------------------------------------
-
-
-def _read_file(path: str) -> str | None:
-    try:
-        with open(path, encoding="utf-8") as f:
-            return f.read()
-    except OSError as err:
-        print(f"error: cannot read {path}: {err}", file=sys.stderr)
-        return None
 
 
 def _load_valid(path: str, strict: bool) -> tuple[FileReport | None, int]:
@@ -83,8 +80,11 @@ def _load_valid(path: str, strict: bool) -> tuple[FileReport | None, int]:
     Returns the report (None if the file cannot be read) and the exit
     code its status maps to.
     """
-    text = _read_file(path)
-    if text is None:
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except OSError as err:
+        print(f"error: cannot read {path}: {err}", file=sys.stderr)
         return None, 2
     report = validate_file(text, file=path, strict=strict)
     for diag in report.diagnostics:
@@ -103,53 +103,41 @@ def _resolve_cutoff(journal: Journal, at: dt.date | None) -> dt.date:
     return txs[-1].date if txs else dt.date.min
 
 
-def _view(
-    journal: Journal, pairs: dict, opts: RenderOptions, as_of=None, interval=None
-) -> tuple[Ledger, TAccount] | None:
-    """The view on a lookup's integer pairs, and its total line's pair
-    summed on those integers; under --percent, both over the basis."""
-    replay = journal._replay
-    ledger, total = replay.view(pairs, as_of, interval), replay.total(pairs)
+def _unit(journal: Journal, opts: RenderOptions) -> Fraction | None:
+    """What one integer of the replay prints as: 1/D, over the basis
+    under --percent. None, with the error printed, if there is no basis."""
+    unit = Fraction(1, journal._replay.scale)
     if not opts.percent:
-        return ledger, total
+        return unit
     if journal.basis is None:
         print("error: --percent requires a basis declaration", file=sys.stderr)
         return None
-    k = journal.basis.reciprocal()
-    return ledger.scaled(k), total.scale(k)
+    return unit / journal.basis.as_fraction
+
+
+def _sorted_items(pairs: dict) -> list:
+    return sorted(pairs.items(), key=lambda item: item[0].segments)
 
 
 # -- commands ---------------------------------------------------------
 
 
-def cmd_check(args) -> int:
-    report, code = _load_valid(args.file, not args.loose)
-    if code == 0:
-        print(report.message)
-    return code
-
-
-def cmd_balance(args, opts: RenderOptions) -> int:
-    report, code = _load_valid(args.file, not args.loose)
-    if code:
-        return code
-    journal = report.journal
+def cmd_balance(journal: Journal, args, opts: RenderOptions) -> int:
     cutoff = _resolve_cutoff(journal, args.at)
-    view = _view(journal, journal._stock_pairs(cutoff), opts, as_of=cutoff)
-    if view is None:
+    pairs = journal._stock_pairs(cutoff)
+    unit = _unit(journal, opts)
+    if unit is None:
         return 1
-    ledger, total = view
 
     # Sorted paths are in pre-order: a parent sorts right before its
-    # subtree. One pass from the end adds every node's balance and
-    # visibility into its parent; a node shows if it is a nonzero leaf
-    # (any leaf with --show-zero) or has a child that shows. Both maps
-    # are keyed by segments, in sorted order, so a parent is a slice.
-    balances = ledger.balances
-    value = {
-        p.segments: balances[p].balance() if p in balances else Fraction(0)
-        for p in sorted(ledger.chart.nodes, key=_segments)
-    }
+    # subtree. One pass from the end adds every node's signed integer
+    # and visibility into its parent; a node shows if it is a nonzero
+    # leaf (any leaf with --show-zero) or has a child that shows. Both
+    # maps are keyed by segments, in sorted order, so a parent is a slice.
+    value = {}
+    for path in sorted(journal._replay.chart.nodes, key=_segments):
+        debit, credit = pairs.get(path, (0, 0))
+        value[path.segments] = debit - credit
     shown = {segs: opts.show_zero or v != 0 for segs, v in value.items()}
     for segs in reversed(value):
         if len(segs) > 1:
@@ -158,20 +146,16 @@ def cmd_balance(args, opts: RenderOptions) -> int:
             shown[parent] = shown[parent] or shown[segs]
     lines = [f"balance as of {cutoff.isoformat()}"]
     lines.extend(
-        f"{'  ' * len(segs)}{segs[-1]}  {_fmt_value(v, opts)}"
+        f"{'  ' * len(segs)}{segs[-1]}  {_fmt_value(v * unit, opts)}"
         for segs, v in value.items()
         if shown[segs]
     )
-    lines.append(_zero_check_line(total, opts.places))
+    lines.append(_zero_check_line(pairs, unit, opts.places))
     print("\n".join(lines))
     return 0
 
 
-def cmd_flows(args, opts: RenderOptions) -> int:
-    report, code = _load_valid(args.file, not args.loose)
-    if code:
-        return code
-    journal = report.journal
+def cmd_flows(journal: Journal, args, opts: RenderOptions) -> int:
     _, txs = journal.expand()
     start = args.from_date
     end = args.to_date
@@ -185,52 +169,39 @@ def cmd_flows(args, opts: RenderOptions) -> int:
     if start > end:
         print(f"error: inverted interval: {start} > {end}", file=sys.stderr)
         return 1
-    view = _view(journal, journal._flow_pairs(start, end), opts, interval=(start, end))
-    if view is None:
+    pairs = journal._flow_pairs(start, end)
+    unit = _unit(journal, opts)
+    if unit is None:
         return 1
-    ledger, total = view
     lines = [f"flows from {start.isoformat()} to {end.isoformat()}"]
-    for account, entry in ledger.items():
-        net = entry.reduce()
-        if net.is_zero and not opts.show_zero:
-            continue
-        if net.credit:
-            side, amount = "cr", net.credit
-        else:
-            side, amount = "dr", net.debit
-        lines.append(f"  {account}  {side} {_fmt_value(amount.as_fraction, opts)}")
-    lines.append(_zero_check_line(total, opts.places))
+    for account, (debit, credit) in _sorted_items(pairs):
+        net = debit - credit
+        if net or opts.show_zero:
+            side = "cr" if net < 0 else "dr"
+            lines.append(f"  {account}  {side} {_fmt_value(abs(net) * unit, opts)}")
+    lines.append(_zero_check_line(pairs, unit, opts.places))
     print("\n".join(lines))
     return 0
 
 
-def cmd_equation(args, opts: RenderOptions) -> int:
-    report, code = _load_valid(args.file, not args.loose)
-    if code:
-        return code
-    journal = report.journal
+def cmd_equation(journal: Journal, args, opts: RenderOptions) -> int:
     cutoff = _resolve_cutoff(journal, args.at)
-    view = _view(journal, journal._stock_pairs(cutoff), opts, as_of=cutoff)
-    if view is None:
+    pairs = journal._stock_pairs(cutoff)
+    unit = _unit(journal, opts)
+    if unit is None:
         return 1
-    ledger, total = view
-    terms = ledger.nonzero_items()
-    if terms:
-        rendered = " + ".join(
-            f"{_fmt_pair(entry, opts.places)}_{account}" for account, entry in terms
-        )
-        print(f"0 = {rendered}")
-    else:
-        print("0 = (0, 0)")
-    print(_zero_check_line(total, opts.places))
+    # a stock pair is already reduced: a zero on at least one side
+    terms = [
+        f"{_fmt_pair(d * unit, c * unit, opts.places)}_{account}"
+        for account, (d, c) in _sorted_items(pairs)
+        if d or c
+    ]
+    print(f"0 = {' + '.join(terms) if terms else '(0, 0)'}")
+    print(_zero_check_line(pairs, unit, opts.places))
     return 0
 
 
-def cmd_schedule(args) -> int:
-    report, code = _load_valid(args.file, not args.loose)
-    if code:
-        return code
-    journal = report.journal
+def cmd_schedule(journal: Journal) -> int:
     blocks = []
     for schedule in journal.schedules:
         header = (
@@ -323,18 +294,23 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    report, code = _load_valid(args.file, not args.loose)
+    if code:
+        return code
+    journal = report.journal
     if args.command == "check":
-        return cmd_check(args)
+        print(report.message)
+        return 0
     if args.command == "schedule":
-        return cmd_schedule(args)
+        return cmd_schedule(journal)
     opts = RenderOptions(
         places=args.decimal, percent=args.percent, show_zero=args.show_zero
     )
     if args.command == "balance":
-        return cmd_balance(args, opts)
+        return cmd_balance(journal, args, opts)
     if args.command == "flows":
-        return cmd_flows(args, opts)
-    return cmd_equation(args, opts)
+        return cmd_flows(journal, args, opts)
+    return cmd_equation(journal, args, opts)
 
 
 def entry() -> None:

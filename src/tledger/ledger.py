@@ -322,17 +322,16 @@ def _replay_step(chart: Chart, pairs: dict, tx: Transaction, values: list) -> tu
 class _Replay(_Record):
     """One pass of the replay step over a journal's expanded stream.
 
-    Sides are integers over scale. pairs holds each leaf's final raw
-    pair. history maps each leaf to the dates of the posted steps that
-    moved it, in stream order, and to its cumulative pair after each of
-    them. faults lists, in stream order, every step that raised (with
-    its error) and every posted step that failed the zero-change check
-    (with None); then, if the final tree is not a zero representative,
-    the last posted step (with None). Views build TAccounts only for
-    the pairs they return.
+    Sides are integers over scale. history maps each leaf to the dates
+    of the posted steps that moved it, in stream order, and to its
+    cumulative pair after each of them. faults lists, in stream order,
+    every step that raised (with its error) and every posted step that
+    failed the zero-change check (with None); then, if the final tree is
+    not a zero representative, the last posted step (with None). Views
+    build TAccounts only for the pairs they return.
     """
 
-    __slots__ = _fields = ("chart", "scale", "pairs", "posted", "faults", "history")
+    __slots__ = _fields = ("chart", "scale", "posted", "faults", "history")
 
     def taccount(self, debit: int, credit: int) -> TAccount:
         """A pair of integers over scale as a TAccount; a side below zero raises."""
@@ -344,10 +343,6 @@ class _Replay(_Record):
         """A view's integer pairs as the Ledger of TAccounts it returns."""
         balances = {leaf: self.taccount(d, c) for leaf, (d, c) in pairs.items()}
         return Ledger(self.chart, balances, as_of, interval)
-
-    def total(self, pairs: dict) -> TAccount:
-        """The componentwise sum of pairs: Ledger.total of their view."""
-        return self.taccount(sum(d for d, _ in pairs.values()), sum(c for _, c in pairs.values()))
 
     def _side(self, n: int) -> Amount:
         if n > 0:
@@ -455,7 +450,7 @@ class Journal(_Record):
                 drifted = True
         if last is not None and not drifted and sum(d - c for d, c in pairs.values()):
             faults.append((last, None))
-        return _Replay(chart, scale, pairs, posted, tuple(faults), history)
+        return _Replay(chart, scale, posted, tuple(faults), history)
 
     def stock_at(self, cutoff: dt.date) -> Ledger:
         """Balance-sheet view: everything dated on or before cutoff, reduced."""

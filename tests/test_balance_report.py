@@ -2,8 +2,9 @@
 
 reference_report is the walk the report used before: per node, the
 aggregate over its subtree and a recursive visit of its children, shown
-if --show-zero is set, the aggregate is nonzero, or a child shows. The
-report through cli.main must match it byte for byte.
+if --show-zero is set, the aggregate is nonzero, or a child shows, and
+a total line from the TAccount sum of the view. The report through
+cli.main must match it byte for byte.
 """
 
 import datetime as dt
@@ -13,8 +14,9 @@ import random
 import pytest
 
 from journalgen import random_journal
+from test_report_views import reference_total_line
 from tledger import Journal, parse_journal, serialize_journal
-from tledger.cli import RenderOptions, _fmt_value, _zero_check_line, main
+from tledger.cli import RenderOptions, _fmt_value, main
 
 NET_ZERO = """\
 account a:x
@@ -60,7 +62,7 @@ def reference_report(journal: Journal, at, opts: RenderOptions) -> tuple[int, st
     lines = [f"balance as of {cutoff.isoformat()}"]
     for root in sorted(p for p in chart.nodes if len(p.segments) == 1):
         lines.extend(visit(root, 0))
-    lines.append(_zero_check_line(ledger.total(), opts.places))
+    lines.append(reference_total_line(ledger.total(), opts.places))
     return 0, "\n".join(lines) + "\n"
 
 

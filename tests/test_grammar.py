@@ -133,7 +133,7 @@ def test_readme_quotes_the_grammar():
 def test_readme_example_and_fixtures_parse_cleanly():
     examples = [body for lang, body in readme_blocks() if not lang]
     assert len(examples) == 1
-    texts = examples + [p.read_text(encoding="utf-8") for p in sorted(FIXTURES.iterdir())]
+    texts = examples + [p.read_text(encoding="utf-8") for p in sorted(FIXTURES.glob("*.journal"))]
     assert len(texts) >= 4
     for text in texts:
         assert RULES["journal"].fullmatch(text)

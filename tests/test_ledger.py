@@ -370,7 +370,7 @@ class TestReplayTAccount:
 
     @staticmethod
     def taccount(debit, credit, scale):
-        replay = _Replay(Chart.empty(), scale, {}, 0, (), {})
+        replay = _Replay(Chart.empty(), scale, 0, (), {})
         return replay.taccount(debit, credit)
 
     def test_random_pairs_equal_checked_amounts(self):

@@ -49,7 +49,7 @@ def reference_validate_file(text):
         if debit != credit or (moved_debit, moved_credit) != (debit, credit):
             diags.append(_inconsistency(tx, fallback))
             consistent = False
-    replay = _Replay(chart, scale, pairs, posted, (), {})
+    replay = _Replay(chart, scale, posted, (), {})
     tree = Ledger(chart, {leaf: replay.taccount(*pair) for leaf, pair in pairs.items()})
     if consistent and last is not None and not tree.total().is_zero:
         diags.append(_inconsistency(last, fallback))
