@@ -18,29 +18,13 @@ import datetime as dt
 import sys
 from fractions import Fraction
 
-from .algebra import Amount, _Record, _rational, _signed
+from .algebra import Amount, _rational, _signed
 from .chart import _segments
 from .ledger import Journal
 from .matching import emit_schedule_transactions
 from .parser import FileReport, format_transaction_block, validate_file
 
-__all__ = ["RenderOptions", "main", "entry"]
-
-
-class RenderOptions(_Record):
-    """How report values are shown; never affects computation.
-
-    places None renders reduced rationals; an integer renders fixed
-    decimals (round half to even). Percent mode divides by the declared
-    basis. Zero-balance accounts are hidden unless show_zero is set.
-    """
-
-    __slots__ = _fields = ("places", "percent", "show_zero")
-    _defaults = (None, False, False)
-
-    def __post_init__(self):
-        if self.places is not None and not 0 <= self.places <= 12:
-            raise ValueError("decimal places must be between 0 and 12")
+__all__ = ["main", "entry"]
 
 
 def _fmt_fraction(value: Fraction, places: int | None) -> str:
@@ -50,11 +34,11 @@ def _fmt_fraction(value: Fraction, places: int | None) -> str:
     return sign + Amount(abs(value)).to_decimal(places)
 
 
-def _fmt_value(value: Fraction, opts: RenderOptions) -> str:
+def _fmt_value(value: Fraction, percent: bool, places: int | None) -> str:
     """A signed scalar; percent mode shows it as a percentage of basis."""
-    if opts.percent:
-        return _fmt_fraction(value * 100, opts.places) + "%"
-    return _fmt_fraction(value, opts.places)
+    if percent:
+        return _fmt_fraction(value * 100, places) + "%"
+    return _fmt_fraction(value, places)
 
 
 def _fmt_pair(debit: Fraction, credit: Fraction, places: int | None) -> str:
@@ -83,7 +67,7 @@ def _load_valid(path: str, strict: bool) -> tuple[FileReport | None, int]:
     try:
         with open(path, encoding="utf-8") as f:
             text = f.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"error: cannot read {path}: {err}", file=sys.stderr)
         return None, 2
     report = validate_file(text, file=path, strict=strict)
@@ -103,11 +87,11 @@ def _resolve_cutoff(journal: Journal, at: dt.date | None) -> dt.date:
     return txs[-1].date if txs else dt.date.min
 
 
-def _unit(journal: Journal, opts: RenderOptions) -> Fraction | None:
+def _unit(journal: Journal, percent: bool) -> Fraction | None:
     """What one integer of the replay prints as: 1/D, over the basis
     under --percent. None, with the error printed, if there is no basis."""
     unit = Fraction(1, journal._replay.scale)
-    if not opts.percent:
+    if not percent:
         return unit
     if journal.basis is None:
         print("error: --percent requires a basis declaration", file=sys.stderr)
@@ -122,10 +106,10 @@ def _sorted_items(pairs: dict) -> list:
 # -- commands ---------------------------------------------------------
 
 
-def cmd_balance(journal: Journal, args, opts: RenderOptions) -> int:
+def cmd_balance(journal: Journal, args) -> int:
     cutoff = _resolve_cutoff(journal, args.at)
     pairs = journal._stock_pairs(cutoff)
-    unit = _unit(journal, opts)
+    unit = _unit(journal, args.percent)
     if unit is None:
         return 1
 
@@ -138,7 +122,7 @@ def cmd_balance(journal: Journal, args, opts: RenderOptions) -> int:
     for path in sorted(journal._replay.chart.nodes, key=_segments):
         debit, credit = pairs.get(path, (0, 0))
         value[path.segments] = debit - credit
-    shown = {segs: opts.show_zero or v != 0 for segs, v in value.items()}
+    shown = {segs: args.show_zero or v != 0 for segs, v in value.items()}
     for segs in reversed(value):
         if len(segs) > 1:
             parent = segs[:-1]
@@ -146,58 +130,57 @@ def cmd_balance(journal: Journal, args, opts: RenderOptions) -> int:
             shown[parent] = shown[parent] or shown[segs]
     lines = [f"balance as of {cutoff.isoformat()}"]
     lines.extend(
-        f"{'  ' * len(segs)}{segs[-1]}  {_fmt_value(v * unit, opts)}"
+        f"{'  ' * len(segs)}{segs[-1]}  {_fmt_value(v * unit, args.percent, args.decimal)}"
         for segs, v in value.items()
         if shown[segs]
     )
-    lines.append(_zero_check_line(pairs, unit, opts.places))
+    lines.append(_zero_check_line(pairs, unit, args.decimal))
     print("\n".join(lines))
     return 0
 
 
-def cmd_flows(journal: Journal, args, opts: RenderOptions) -> int:
+def cmd_flows(journal: Journal, args) -> int:
     _, txs = journal.expand()
     start = args.from_date
-    end = args.to_date
+    end = _resolve_cutoff(journal, args.to_date)
     if start is None:
         if txs and txs[0].date == dt.date.min:
             print("error: no day before 0001-01-01 to default --from to", file=sys.stderr)
             return 1
         start = txs[0].date - dt.timedelta(days=1) if txs else dt.date.min
-    if end is None:
-        end = txs[-1].date if txs else dt.date.min
     if start > end:
         print(f"error: inverted interval: {start} > {end}", file=sys.stderr)
         return 1
     pairs = journal._flow_pairs(start, end)
-    unit = _unit(journal, opts)
+    unit = _unit(journal, args.percent)
     if unit is None:
         return 1
     lines = [f"flows from {start.isoformat()} to {end.isoformat()}"]
     for account, (debit, credit) in _sorted_items(pairs):
         net = debit - credit
-        if net or opts.show_zero:
+        if net or args.show_zero:
             side = "cr" if net < 0 else "dr"
-            lines.append(f"  {account}  {side} {_fmt_value(abs(net) * unit, opts)}")
-    lines.append(_zero_check_line(pairs, unit, opts.places))
+            value = _fmt_value(abs(net) * unit, args.percent, args.decimal)
+            lines.append(f"  {account}  {side} {value}")
+    lines.append(_zero_check_line(pairs, unit, args.decimal))
     print("\n".join(lines))
     return 0
 
 
-def cmd_equation(journal: Journal, args, opts: RenderOptions) -> int:
+def cmd_equation(journal: Journal, args) -> int:
     cutoff = _resolve_cutoff(journal, args.at)
     pairs = journal._stock_pairs(cutoff)
-    unit = _unit(journal, opts)
+    unit = _unit(journal, args.percent)
     if unit is None:
         return 1
     # a stock pair is already reduced: a zero on at least one side
     terms = [
-        f"{_fmt_pair(d * unit, c * unit, opts.places)}_{account}"
+        f"{_fmt_pair(d * unit, c * unit, args.decimal)}_{account}"
         for account, (d, c) in _sorted_items(pairs)
         if d or c
     ]
     print(f"0 = {' + '.join(terms) if terms else '(0, 0)'}")
-    print(_zero_check_line(pairs, unit, opts.places))
+    print(_zero_check_line(pairs, unit, args.decimal))
     return 0
 
 
@@ -303,14 +286,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if args.command == "schedule":
         return cmd_schedule(journal)
-    opts = RenderOptions(
-        places=args.decimal, percent=args.percent, show_zero=args.show_zero
-    )
     if args.command == "balance":
-        return cmd_balance(journal, args, opts)
+        return cmd_balance(journal, args)
     if args.command == "flows":
-        return cmd_flows(journal, args, opts)
-    return cmd_equation(journal, args, opts)
+        return cmd_flows(journal, args)
+    return cmd_equation(journal, args)
 
 
 def entry() -> None:

@@ -386,7 +386,9 @@ class Journal(_Record):
     def expand(self) -> tuple[Chart, tuple[Transaction, ...]]:
         """Chart and transaction stream with schedules expanded.
 
-        Schedule-generated accounts are declared on the fly; emitted
+        The accounts that emitted postings name are declared on the fly,
+        except a schedule's source: the chart must declare it, or the
+        replay fails on it as on any unknown account. Emitted
         transactions merge into date order after authored ones. The
         expansion is computed once per journal.
         """
@@ -394,15 +396,16 @@ class Journal(_Record):
 
     @cached_property
     def _expansion(self) -> tuple[Chart, tuple[Transaction, ...]]:
-        from .matching import emit_schedule_transactions, schedule_accounts
+        from .matching import emit_schedule_transactions
 
         txs = list(self.transactions)
         accounts = {}  # a dict, to keep first-use order without repeats
         for schedule in self.schedules:
-            for account in schedule_accounts(schedule):
-                if not self.chart.is_declared(account):
+            emitted = emit_schedule_transactions(schedule)
+            for account in (p.account for tx in emitted for p in tx.postings):
+                if account != schedule.source and not self.chart.is_declared(account):
                     accounts[account] = None
-            txs.extend(emit_schedule_transactions(schedule))
+            txs.extend(emitted)
         chart = self.chart.declare_all(accounts) if accounts else self.chart
         return chart, tuple(sorted(txs, key=lambda t: t.date))
 

@@ -30,7 +30,6 @@ __all__ = [
     "ScheduleMode",
     "build_schedule",
     "emit_schedule_transactions",
-    "schedule_accounts",
     "contra_account",
     "net_book_value",
     "add_years",
@@ -110,17 +109,6 @@ def contra_account(source: AccountPath) -> AccountPath:
     if parent is None:
         return AccountPath((CONTRA_SEGMENT,))
     return parent.child(CONTRA_SEGMENT)
-
-
-def schedule_accounts(schedule: MatchingSchedule) -> tuple[AccountPath, ...]:
-    """Accounts the schedule's emissions will post to, beyond the source."""
-    out = [
-        schedule.counterpart_prefix.child(f"y{k}")
-        for k in range(1, len(schedule.periods) + 1)
-    ]
-    if schedule.mode is ScheduleMode.CONTRA:
-        out.append(contra_account(schedule.source))
-    return tuple(out)
 
 
 def emit_schedule_transactions(schedule: MatchingSchedule) -> list[Transaction]:

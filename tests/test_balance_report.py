@@ -14,9 +14,9 @@ import random
 import pytest
 
 from journalgen import random_journal
-from test_report_views import reference_total_line
+from test_report_views import Render, reference_total_line
 from tledger import Journal, parse_journal, serialize_journal
-from tledger.cli import RenderOptions, _fmt_value, main
+from tledger.cli import _fmt_value, main
 
 NET_ZERO = """\
 account a:x
@@ -39,7 +39,7 @@ account c:d
 """
 
 
-def reference_report(journal: Journal, at, opts: RenderOptions) -> tuple[int, str]:
+def reference_report(journal: Journal, at, opts: Render) -> tuple[int, str]:
     _, txs = journal.expand()
     cutoff = at if at is not None else (txs[-1].date if txs else dt.date.min)
     ledger = journal.stock_at(cutoff)
@@ -56,7 +56,7 @@ def reference_report(journal: Journal, at, opts: RenderOptions) -> tuple[int, st
             child_lines.extend(visit(child, depth + 1))
         if not (opts.show_zero or not agg.is_zero or child_lines):
             return []
-        value = _fmt_value(agg.balance(), opts)
+        value = _fmt_value(agg.balance(), opts.percent, opts.places)
         return [f"{'  ' * (depth + 1)}{path.leaf}  {value}"] + child_lines
 
     lines = [f"balance as of {cutoff.isoformat()}"]
@@ -92,7 +92,7 @@ def flag_sets(journal: Journal):
             argv += ["--decimal", str(places)]
         if at is not None:
             argv += ["--at", at.isoformat()]
-        yield argv, at, RenderOptions(places, percent, show_zero)
+        yield argv, at, Render(places, percent, show_zero)
 
 
 def check_against_reference(capsys, path, journal):

@@ -51,6 +51,16 @@ class TestCheck:
         assert code == 2
         assert "cannot read" in err
 
+    @pytest.mark.parametrize("command", ["check", "balance", "flows", "equation", "schedule"])
+    def test_file_that_is_not_utf8_exits_2(self, capsys, tmp_path, command):
+        bad = tmp_path / "latin1.journal"
+        bad.write_bytes(b"account caf\xe9\naccount \xff\n")
+        code, out, err = run(capsys, command, str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {bad}: ")
+        assert "can't decode byte 0xe9" in err
+        assert err.count("\n") == 1
+
     def test_utf8_with_byte_order_mark(self, capsys, tmp_path):
         f = tmp_path / "bom.journal"
         f.write_text(
@@ -312,19 +322,11 @@ class TestSchedule:
 
 
 class TestRenderOptions:
-    def test_places_bounds(self):
-        from tledger.cli import RenderOptions
-
-        RenderOptions(places=0)
-        RenderOptions(places=12)
-        with pytest.raises(ValueError):
-            RenderOptions(places=13)
-        with pytest.raises(ValueError):
-            RenderOptions(places=-1)
-
-    def test_out_of_range_decimal_flag_is_a_usage_error(self, capsys, fixture_file):
-        assert main(["balance", fixture_file, "--decimal", "13"]) == 2
-        capsys.readouterr()
+    @pytest.mark.parametrize("places", ["13", "-1"])
+    def test_out_of_range_decimal_flag_is_a_usage_error(self, capsys, fixture_file, places):
+        code, out, err = run(capsys, "balance", fixture_file, "--decimal", places)
+        assert (code, out) == (2, "")
+        assert "--decimal" in err
 
     def test_asset_side_sums_to_exactly_one_basis_at_opening(self, fixture_text):
         from fractions import Fraction

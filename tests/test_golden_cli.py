@@ -28,6 +28,8 @@ RENDER_FLAGS = (
     ["--decimal", "12"],
     ["--percent"],
     ["--show-zero"],
+    ["--percent", "--decimal", "2", "--show-zero"],
+    ["--decimal", "0", "--show-zero"],
 )
 # 2020-01-03 is an authored transaction, 2021-01-04 the first schedule period.
 WINDOWS = {
@@ -35,6 +37,7 @@ WINDOWS = {
     "equation": ["--at", "2020-01-03"],
     "flows": ["--from", "2020-01-02", "--to", "2021-01-04"],
 }
+WINDOW_FLAGS = ([], ["--percent"], ["--decimal", "2"])
 
 
 def invocations() -> list[list[str]]:
@@ -44,7 +47,7 @@ def invocations() -> list[list[str]]:
             out += [[command, journal], [command, journal, "--loose"]]
         for command, window in WINDOWS.items():
             out += [[command, journal, *flags] for flags in RENDER_FLAGS]
-            out.append([command, journal, *window])
+            out += [[command, journal, *window, *flags] for flags in WINDOW_FLAGS]
     return out
 
 

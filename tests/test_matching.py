@@ -19,13 +19,14 @@ from tledger import (
     ScheduleMode,
     TAccount,
     Transaction,
+    UnknownAccountError,
     build_schedule,
     contra_account,
     emit_schedule_transactions,
     net_book_value,
     validate_transaction,
 )
-from tledger.matching import add_years, schedule_accounts
+from tledger.matching import add_years
 
 D = dt.date
 
@@ -164,11 +165,30 @@ class TestEmission:
             )
 
     def test_counterpart_children_per_period(self, machine_journal_parts):
-        _, schedule = self._journal(machine_journal_parts, ScheduleMode.CONTRA)
-        accounts = schedule_accounts(schedule)
-        assert p("expenses:interest:y1") in accounts
-        assert p("expenses:interest:y5") in accounts
+        journal, _ = self._journal(machine_journal_parts, ScheduleMode.CONTRA)
+        chart, _ = journal.expand()
+        assert chart.is_declared(p("expenses:interest:y1"))
+        assert chart.is_declared(p("expenses:interest:y5"))
         assert contra_account(p("assets:machine")) == p("assets:accumulated-depreciation")
+        assert chart.is_declared(p("assets:accumulated-depreciation"))
+
+    def test_an_undeclared_source_is_not_declared_for_it(self, machine_journal_parts):
+        """A direct schedule credits its source, but expand() declares
+        only the accounts the schedule makes up: a source the chart
+        lacks stays unknown, and the replay fails on it."""
+        chart, _ = machine_journal_parts
+        chart = Chart.empty().declare_all(
+            [path for path in chart.leaves() if path != p("assets:machine")]
+        )
+        schedule = build_schedule(
+            p("assets:machine"), p("expenses:interest"), amt("2/5"), 5, D(2020, 1, 4)
+        )
+        journal = Journal(chart, (), (schedule,))
+        expanded, _ = journal.expand()
+        assert p("assets:machine") not in expanded
+        assert expanded.is_declared(p("expenses:interest:y1"))
+        with pytest.raises(UnknownAccountError):
+            journal.stock_at(D(2021, 1, 4))
 
     def test_shared_and_declared_schedule_accounts_are_declared_once(
         self, machine_journal_parts

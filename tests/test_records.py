@@ -1,6 +1,6 @@
 """tledger's records keep the value semantics of frozen dataclasses.
 
-The sixteen records are plain classes over one shared base. Each gets a
+The fifteen records are plain classes over one shared base. Each gets a
 twin here, made with dataclasses.make_dataclass from the same fields,
 defaults and compare flags, which is how the records were declared
 before. On values drawn from seeded journalgen journals and the
@@ -44,7 +44,6 @@ from tledger import (
     validate_file,
 )
 from tledger.chart import SEGMENT_RE
-from tledger.cli import RenderOptions
 from tledger.ledger import _Replay
 
 D = dt.date
@@ -110,14 +109,6 @@ SPECS = {
     FileReport: (
         ["status", "diagnostics", "transactions", "message", ("journal", object, None)],
         None,
-    ),
-    RenderOptions: (
-        [
-            ("places", object, None),
-            ("percent", object, False),
-            ("show_zero", object, False),
-        ],
-        RenderOptions.__post_init__,
     ),
     ReconcileRow: (["account", "opening", "flow", "closing", "ok"], None),
     ReconciliationReport: (["start", "end", "rows"], None),
@@ -218,8 +209,6 @@ def _corpus():
     rng = random.Random(99)
     for _ in range(20):
         add(random_taccount(rng))
-    for flags in itertools.product((None, 0, 12), (False, True), (False, True)):
-        add(RenderOptions(*flags))
     return values
 
 
@@ -344,8 +333,6 @@ INVALID = [
         (VALID_PATH, COSTS, Amount(5), ((D(2021, 1, 1), HALF), (D(2021, 1, 1), HALF))),
     ),
     (MatchingSchedule, (VALID_PATH, COSTS, Amount(5), ((D(2021, 1, 1), HALF),))),
-    (RenderOptions, (13,)),
-    (RenderOptions, (-1,)),
 ]
 
 

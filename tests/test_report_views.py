@@ -10,16 +10,20 @@ byte, on stdout, stderr and exit code.
 
 import datetime as dt
 import random
+from collections import namedtuple
 
 import pytest
 
 from journalgen import prime_journal, random_journal
 from tledger import Ledger, TAccount, parse_journal, serialize_journal
 from tledger.algebra import _signed
-from tledger.cli import RenderOptions, _fmt_fraction, _fmt_value, main
+from tledger.cli import _fmt_fraction, _fmt_value, main
 
 NO_BASIS = "error: --percent requires a basis declaration\n"
 DAY = dt.timedelta(days=1)
+
+# The render flags, as the references read them: --decimal, --percent, --show-zero.
+Render = namedtuple("Render", "places percent show_zero")
 
 
 def reference_total_line(total: TAccount, places) -> str:
@@ -31,7 +35,7 @@ def reference_total_line(total: TAccount, places) -> str:
     return f"total  ({debit}, {credit})  IMBALANCED residual {_signed(total.balance())}"
 
 
-def percent_scaled(journal, ledger: Ledger, opts: RenderOptions) -> Ledger | None:
+def percent_scaled(journal, ledger: Ledger, opts: Render) -> Ledger | None:
     if not opts.percent:
         return ledger
     if journal.basis is None:
@@ -39,7 +43,7 @@ def percent_scaled(journal, ledger: Ledger, opts: RenderOptions) -> Ledger | Non
     return ledger.scaled(journal.basis.reciprocal())
 
 
-def reference_equation(journal, at, opts: RenderOptions) -> tuple[int, str, str]:
+def reference_equation(journal, at, opts: Render) -> tuple[int, str, str]:
     _, txs = journal.expand()
     cutoff = at if at is not None else (txs[-1].date if txs else dt.date.min)
     ledger = percent_scaled(journal, journal.stock_at(cutoff), opts)
@@ -54,7 +58,7 @@ def reference_equation(journal, at, opts: RenderOptions) -> tuple[int, str, str]
     return 0, f"0 = {terms or '(0, 0)'}\n{total}\n", ""
 
 
-def reference_flows(journal, start, end, opts: RenderOptions) -> tuple[int, str, str]:
+def reference_flows(journal, start, end, opts: Render) -> tuple[int, str, str]:
     _, txs = journal.expand()
     if start is None:
         start = txs[0].date - DAY if txs else dt.date.min
@@ -71,7 +75,7 @@ def reference_flows(journal, start, end, opts: RenderOptions) -> tuple[int, str,
         if net.is_zero and not opts.show_zero:
             continue
         side, amount = ("cr", net.credit) if net.credit else ("dr", net.debit)
-        lines.append(f"  {account}  {side} {_fmt_value(amount.as_fraction, opts)}")
+        lines.append(f"  {account}  {side} {_fmt_value(amount.as_fraction, opts.percent, opts.places)}")
     lines.append(reference_total_line(ledger.total(), opts.places))
     return 0, "\n".join(lines) + "\n", ""
 
@@ -95,9 +99,9 @@ RENDERINGS = [[], ["--percent"], ["--decimal", "0"], ["--decimal", "2"], ["--dec
               ["--show-zero"]]
 
 
-def options(flags) -> RenderOptions:
+def options(flags) -> Render:
     places = int(flags[-1]) if "--decimal" in flags else None
-    return RenderOptions(places, "--percent" in flags, "--show-zero" in flags)
+    return Render(places, "--percent" in flags, "--show-zero" in flags)
 
 
 def probe_dates(journal):
