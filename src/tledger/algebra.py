@@ -132,11 +132,6 @@ class _Record:
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self._fields)
 
-    def _replace(self, **changes) -> _Record:
-        """A copy with the named fields changed, built by __init__."""
-        values = [changes.pop(name, getattr(self, name)) for name in self._fields]
-        return type(self)(*values, **changes)
-
 
 class Amount:
     """A non-negative exact rational quantity of value.

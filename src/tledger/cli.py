@@ -20,9 +20,10 @@ from fractions import Fraction
 
 from .algebra import Amount, _rational, _signed
 from .chart import _segments
+from .errors import IntervalError
 from .ledger import Journal
 from .matching import emit_schedule_transactions
-from .parser import FileReport, format_transaction_block, validate_file
+from .parser import _DATE_RE, FileReport, format_transaction_block, validate_file
 
 __all__ = ["main", "entry"]
 
@@ -99,10 +100,6 @@ def _unit(journal: Journal, percent: bool) -> Fraction | None:
     return unit / journal.basis.as_fraction
 
 
-def _sorted_items(pairs: dict) -> list:
-    return sorted(pairs.items(), key=lambda item: item[0].segments)
-
-
 # -- commands ---------------------------------------------------------
 
 
@@ -148,15 +145,16 @@ def cmd_flows(journal: Journal, args) -> int:
             print("error: no day before 0001-01-01 to default --from to", file=sys.stderr)
             return 1
         start = txs[0].date - dt.timedelta(days=1) if txs else dt.date.min
-    if start > end:
-        print(f"error: inverted interval: {start} > {end}", file=sys.stderr)
+    try:
+        pairs = journal._flow_pairs(start, end)
+    except IntervalError as err:
+        print(f"error: {err}", file=sys.stderr)
         return 1
-    pairs = journal._flow_pairs(start, end)
     unit = _unit(journal, args.percent)
     if unit is None:
         return 1
     lines = [f"flows from {start.isoformat()} to {end.isoformat()}"]
-    for account, (debit, credit) in _sorted_items(pairs):
+    for account, (debit, credit) in pairs.items():
         net = debit - credit
         if net or args.show_zero:
             side = "cr" if net < 0 else "dr"
@@ -176,7 +174,7 @@ def cmd_equation(journal: Journal, args) -> int:
     # a stock pair is already reduced: a zero on at least one side
     terms = [
         f"{_fmt_pair(d * unit, c * unit, args.decimal)}_{account}"
-        for account, (d, c) in _sorted_items(pairs)
+        for account, (d, c) in pairs.items()
         if d or c
     ]
     print(f"0 = {' + '.join(terms) if terms else '(0, 0)'}")
@@ -212,10 +210,13 @@ def _places(text: str) -> int:
 
 
 def _iso_date(text: str) -> dt.date:
-    try:
-        return dt.date.fromisoformat(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a YYYY-MM-DD date: {text!r}")
+    """The journal's YYYY-MM-DD only: fromisoformat takes more on Python 3.11+."""
+    if _DATE_RE.fullmatch(text):
+        try:
+            return dt.date.fromisoformat(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"not a YYYY-MM-DD date: {text!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:

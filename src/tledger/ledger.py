@@ -39,7 +39,7 @@ from functools import cached_property
 from math import lcm
 
 from .algebra import _ZERO_AMOUNT, Amount, TAccount, _Record, _signed
-from .chart import AccountPath, Chart, _segments
+from .chart import AccountPath, Chart
 from .diagnostics import SourceSpan
 from .errors import (
     ChildCollisionError,
@@ -163,25 +163,20 @@ class Ledger(_Record):
         return self.balances[_resolve(self.chart, self.balances, account)]
 
     def post(self, tx: Transaction) -> Ledger:
-        """A new ledger with one balanced transaction folded in."""
-        ledger = self._replace(balances=dict(self.balances))
-        ledger._apply(tx)
-        return ledger
+        """A new ledger with one balanced transaction folded in.
 
-    def _apply(self, tx: Transaction) -> None:
-        """The replay step: validate tx, resolve every posting, then add
-        each entry componentwise to its account, in place.
-
-        Nothing is added until the whole transaction has passed, so a
-        failed transaction leaves the balances untouched. Because the
-        entries sum to a zero pair, the whole tree stays a zero
-        representative.
+        tx is validated and every posting resolved before anything is
+        added, so a failed transaction raises and changes nothing.
+        Because the entries sum to a zero pair, the whole tree stays a
+        zero representative.
         """
         validate_transaction(tx)
         for p in tx.postings:
             _resolve(self.chart, self.balances, p.account, p.span or tx.span)
+        balances = dict(self.balances)
         for p in tx.postings:
-            self.balances[p.account] += p.entry
+            balances[p.account] += p.entry
+        return Ledger(self.chart, balances, self.as_of, self.interval)
 
     def aggregate(self, path: AccountPath) -> TAccount:
         """Componentwise sum of every leaf in the subtree at path."""
@@ -239,11 +234,12 @@ class Ledger(_Record):
         del balances[parent]
         for child, share in parts:
             balances[child] = share
-        return self._replace(chart=chart, balances=balances)
+        return Ledger(chart, balances, self.as_of, self.interval)
 
     def scaled(self, k: Amount) -> Ledger:
         """Every balance scaled by k (basis normalization)."""
-        return self._replace(balances={a: t.scale(k) for a, t in self.balances.items()})
+        balances = {a: t.scale(k) for a, t in self.balances.items()}
+        return Ledger(self.chart, balances, self.as_of, self.interval)
 
     def items(self) -> list[tuple[AccountPath, TAccount]]:
         return sorted(self.balances.items(), key=lambda item: item[0].segments)
@@ -322,9 +318,10 @@ def _replay_step(chart: Chart, pairs: dict, tx: Transaction, values: list) -> tu
 class _Replay(_Record):
     """One pass of the replay step over a journal's expanded stream.
 
-    Sides are integers over scale. history maps each leaf to the dates
-    of the posted steps that moved it, in stream order, and to its
-    cumulative pair after each of them. faults lists, in stream order,
+    Sides are integers over scale. history maps each leaf, in path order
+    (Chart.leaves()), to the dates of the posted steps that moved it, in
+    stream order, and to its cumulative pair after each of them; every
+    view's pairs keep that order. faults lists, in stream order,
     every step that raised (with its error) and every posted step that
     failed the zero-change check (with None); then, if the final tree is
     not a zero representative, the last posted step (with None). Views
@@ -510,7 +507,7 @@ class Journal(_Record):
         closing = self._stock_pairs(end)
         taccount = self._replay.taccount
         rows = []
-        for account in sorted(closing, key=_segments):
+        for account in closing:
             (od, oc), (fd, fc), (cd, cc) = opening[account], flow[account], closing[account]
             views = taccount(od, oc), taccount(fd, fc), taccount(cd, cc)
             rows.append(ReconcileRow(account, *views, od + fd + cc == oc + fc + cd))

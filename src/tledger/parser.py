@@ -58,7 +58,7 @@ _HEADER_RE = re.compile(rf'({_DATE_RE.pattern})\s+"([^"]*)"\s*')
 _SIDES = {"dr": TAccount.dr, "debit": TAccount.dr, "cr": TAccount.cr, "credit": TAccount.cr}
 # A whole posting (groups 1-6) or header (7-8) line; tokens as _tokens splits them.
 _LINE_RE = re.compile(
-    rf"(?:([ \t]\s*)([^\s;]+)\s+(dr|debit|cr|credit)\s+{_AMOUNT_RE.pattern}"
+    rf"(?:([ \t]\s*)([^\s;]+)\s+({'|'.join(_SIDES)})\s+{_AMOUNT_RE.pattern}"
     rf'|({_DATE_RE.pattern})\s+"([^";]*)")\s*(?:;.*)?'
 )
 _TOKEN_RE = re.compile(r"\S+")
@@ -108,6 +108,15 @@ class _FileParser:
         self.diagnostics.append(ParseDiagnostic(Severity.WARNING, message, span))
 
     # -- small parsers -----------------------------------------------
+
+    def shaped(self, line: str, count: int, usage: str, keywords=()) -> list | None:
+        """line's tokens, if there are count of them with each (index, word)
+        of keywords in place; else the usage error, and skip the block."""
+        toks = _tokens(line)
+        if len(toks) == count and all(toks[i][0] == word for i, word in keywords):
+            return toks
+        self.error(usage, self.line_span(line), recover=True)
+        return None
 
     def parse_path(self, token: str, col: int) -> AccountPath | None:
         path = self.paths.get(token)
@@ -219,9 +228,8 @@ class _FileParser:
             )
 
     def handle_basis(self, line: str):
-        toks = _tokens(line)
-        if len(toks) != 2:
-            self.error("expected: basis <amount>", self.line_span(line), recover=True)
+        toks = self.shaped(line, 2, "expected: basis <amount>")
+        if toks is None:
             return
         token, col = toks[1]
         amount = self.parse_amount(token, col)
@@ -236,11 +244,8 @@ class _FileParser:
         self.basis = amount
 
     def handle_account(self, line: str):
-        toks = _tokens(line)
-        if len(toks) != 2:
-            self.error(
-                "expected: account <path>", self.line_span(line), recover=True
-            )
+        toks = self.shaped(line, 2, "expected: account <path>")
+        if toks is None:
             return
         token, col = toks[1]
         path = self.parse_path(token, col)
@@ -252,19 +257,14 @@ class _FileParser:
             self.error(str(err), self.span(col, len(token)))
 
     def handle_schedule(self, line: str):
-        toks = _tokens(line)
-        if len(toks) != 11 or [toks[i][0] for i in (4, 6, 7, 9)] != [
-            "over",
-            "yearly",
-            "from",
-            "mode",
-        ]:
-            self.error(
-                "expected: schedule <source> <counterpart> <amount>"
-                " over <n> yearly from <date> mode <direct|contra>",
-                self.line_span(line),
-                recover=True,
-            )
+        toks = self.shaped(
+            line,
+            11,
+            "expected: schedule <source> <counterpart> <amount>"
+            " over <n> yearly from <date> mode <direct|contra>",
+            ((4, "over"), (6, "yearly"), (7, "from"), (9, "mode")),
+        )
+        if toks is None:
             return
         source = self.parse_path(*toks[1])
         counterpart = self.parse_path(*toks[2])
@@ -364,13 +364,8 @@ class _FileParser:
                 recover=True,
             )
             return
-        toks = _tokens(line)
-        if len(toks) != 3:
-            self.error(
-                "expected posting: <account-path> <dr|cr> <amount>",
-                self.line_span(line),
-                recover=True,
-            )
+        toks = self.shaped(line, 3, "expected posting: <account-path> <dr|cr> <amount>")
+        if toks is None:
             return
         path = self.parse_path(*toks[0])
         side_tok, side_col = toks[1]

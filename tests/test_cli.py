@@ -328,6 +328,25 @@ class TestRenderOptions:
         assert (code, out) == (2, "")
         assert "--decimal" in err
 
+    def test_non_integer_decimal_flag_is_a_usage_error(self, capsys, fixture_file):
+        code, out, err = run(capsys, "balance", fixture_file, "--decimal", "abc")
+        assert (code, out) == (2, "")
+        assert "argument --decimal: not an integer: 'abc'" in err
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("balance", "--at"), ("equation", "--at"), ("flows", "--from"), ("flows", "--to")],
+    )
+    @pytest.mark.parametrize(
+        "text", ["notadate", "20200101", "2020-W01-1", "2020-1-01", "2020-02-30"]
+    )
+    def test_date_flags_take_the_journal_date_form(self, capsys, fixture_file, command, flag, text):
+        """Only the grammar's YYYY-MM-DD, on the calendar, whatever else the
+        interpreter's fromisoformat accepts."""
+        code, out, err = run(capsys, command, fixture_file, flag, text)
+        assert (code, out) == (2, "")
+        assert f"argument {flag}: not a YYYY-MM-DD date: {text!r}" in err
+
     def test_asset_side_sums_to_exactly_one_basis_at_opening(self, fixture_text):
         from fractions import Fraction
 

@@ -196,6 +196,37 @@ class TestDiagnostics:
         _, diagnostics = parse_journal(text, file="f.journal", strict=strict)
         assert [d.render() for d in diagnostics] == want
 
+    @pytest.mark.parametrize(
+        "line, message, column, length, recovers",
+        [
+            ("basis", "expected: basis <amount>", 1, 5, True),
+            ("basis 1 2 ; a note", "expected: basis <amount>", 1, 9, True),
+            ("basis x", "malformed amount 'x'", 7, 1, False),
+            ("basis 0", "basis must be positive", 7, 1, False),
+            ("account", "expected: account <path>", 1, 7, True),
+            ("account a:b c", "expected: account <path>", 1, 13, True),
+            (
+                "schedule a b 0 over 2 yearly from 2020-01-01 mode direct",
+                "schedule total must be positive",
+                14,
+                1,
+                False,
+            ),
+        ],
+        ids=["basis-missing", "basis-extra", "basis-x", "basis-0", "account-missing",
+             "account-extra", "schedule-total-0"],
+    )
+    def test_directive_errors_span_and_recovery(self, line, message, column, length, recovers):
+        """A usage error skips the rest of its block; a bad value does not.
+        Either way parsing resumes after the next blank line."""
+        text = f"account a\naccount b\n{line}\nnot-a-directive\n\naccount a\n"
+        _, diagnostics = parse_journal(text)
+        want = [(message, 3, column, length)]
+        if not recovers:
+            want.append(("unknown directive 'not-a-directive'", 4, 1, 15))
+        want.append(("account a already declared", 6, 9, 1))
+        assert [(d.message, d.span.line, d.span.column, d.span.length) for d in diagnostics] == want
+
     def test_schedule_arity(self):
         errs = errors_of("schedule a b 1 over 5 yearly\n")
         assert any("expected: schedule" in e.message for e in errs)

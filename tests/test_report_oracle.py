@@ -1,0 +1,349 @@
+"""The printed reports, and the views' account order, against an oracle.
+
+balance, equation and flows run through cli.main on seeded generated
+journals: plain, restyled, with shuffled account lines, loose-mode with
+no declarations, and with prime denominators, and on a small journal of
+exact rounding ties. Every stdout line is
+rebuilt here from one signed Fraction per account, summed straight off
+the expanded postings as tests/oracles.py sums them. The oracle knows
+nothing of the replay's integers or views: subtree sums add every leaf
+under a node, path order is a sort on the colon-split names, and --decimal
+rounds half to even by integer arithmetic of its own.
+
+The views must list accounts in that same path order, the replay's own:
+the keys of stock_at and flow_between balances, and reconcile's rows.
+"""
+
+import datetime as dt
+import io
+import random
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+
+import pytest
+
+from journalgen import prime_journal, random_journal, restyled
+from tledger import parse_journal, serialize_journal
+from tledger.cli import main
+
+DAY = dt.timedelta(days=1)
+
+
+# -- the journals -----------------------------------------------------
+
+
+def shuffled_accounts(text: str, rng: random.Random) -> str:
+    """The same journal with its account lines in random order."""
+    lines = text.split("\n")
+    at = [i for i, line in enumerate(lines) if line.startswith("account ")]
+    moved = [lines[i] for i in at]
+    rng.shuffle(moved)
+    for i, line in zip(at, moved):
+        lines[i] = line
+    return "\n".join(lines)
+
+
+def undeclared(text: str) -> str:
+    """The loose-mode twin: no account lines at all."""
+    return "\n".join(line for line in text.split("\n") if not line.startswith("account "))
+
+
+def generated(seed: int, scheduled: bool) -> str:
+    rng = random.Random(seed)
+    while True:
+        journal = random_journal(rng, max_accounts=24, max_transactions=16)
+        if bool(journal.schedules) == scheduled and journal.basis is not None:
+            return serialize_journal(journal)
+
+
+# Exact ties at --decimal 0 and 2 (2.5, 0.125, 3.625), which half-up would round up.
+TIES = (
+    "basis 8\naccount assets:cash\naccount assets:bank\naccount income:sales\n"
+    "account equity:capital\n\n"
+    '2020-01-01 "open"\n    assets:cash dr 2.5\n    assets:bank dr 0.125\n'
+    "    equity:capital cr 2.625\n\n"
+    '2020-01-02 "sale"\n    assets:bank dr 3.5\n    income:sales cr 3.5\n'
+)
+
+
+def corpus() -> list[tuple[str, str, bool]]:
+    """(name, text, strict) for every journal the tests read."""
+    rng = random.Random(1515)
+    plain, scheduled = generated(151, False), generated(152, True)
+    prime = prime_journal(random.Random(153), n_tx=12)
+    return [
+        ("plain", plain, True),
+        ("scheduled", scheduled, True),
+        ("restyled", restyled(scheduled, rng), True),
+        ("shuffled", shuffled_accounts(plain, rng), True),
+        ("shuffled-scheduled", shuffled_accounts(scheduled, rng), True),
+        ("loose", undeclared(plain), False),
+        ("prime-basis", "basis 1000003/7\n" + prime, True),
+        ("ties", TIES, True),
+    ]
+
+
+CORPUS = corpus()
+
+
+# -- the oracle -------------------------------------------------------
+
+
+def path_key(path) -> list[str]:
+    return str(path).split(":")
+
+
+def half_even(value: Fraction, places: int) -> str:
+    """value at places decimals, ties to even: round half up, then step
+    an odd tie back down."""
+    n, d = abs(value.numerator) * 10**places, value.denominator
+    q, r = divmod(2 * n + d, 2 * d)
+    if r == 0 and q % 2:
+        q -= 1
+    sign = "-" if value < 0 else ""
+    if places == 0:
+        return f"{sign}{q}"
+    whole, frac = divmod(q, 10**places)
+    return f"{sign}{whole}.{frac:0{places}d}"
+
+
+def fmt(value: Fraction, places) -> str:
+    if places is not None:
+        return half_even(value, places)
+    if value.denominator == 1:
+        return str(value.numerator)
+    return f"{value.numerator}/{value.denominator}"
+
+
+class Oracle:
+    """One journal's numbers as signed Fractions, straight off its postings."""
+
+    def __init__(self, text: str, strict: bool):
+        journal, _ = parse_journal(text, strict=strict)
+        chart, self.txs = journal.expand()
+        self.nodes = list(chart.nodes)
+        self.leaves = [p for p in self.nodes if not any(q.parent == p for q in self.nodes)]
+        self.basis = journal.basis.as_fraction if journal.basis is not None else None
+
+    def signed(self, after, through) -> dict:
+        """Each leaf's debit minus credit over (after, through]."""
+        out = {leaf: Fraction(0) for leaf in self.leaves}
+        for tx in self.txs:
+            if (after is None or tx.date > after) and tx.date <= through:
+                for p in tx.postings:
+                    out[p.account] += p.entry.debit.as_fraction - p.entry.credit.as_fraction
+        return out
+
+    def last(self) -> dt.date:
+        return self.txs[-1].date if self.txs else dt.date.min
+
+    def scale(self, percent: bool) -> Fraction:
+        return 1 / self.basis if percent else Fraction(1)
+
+    def value(self, v: Fraction, percent: bool, places) -> str:
+        return fmt(v * 100, places) + "%" if percent else fmt(v, places)
+
+    @staticmethod
+    def total_line(debit: Fraction, credit: Fraction, places) -> str:
+        assert debit == credit
+        return f"total  ({fmt(debit, places)}, {fmt(credit, places)})  = 0  ok"
+
+    def balance(self, at, percent, places, show_zero) -> str:
+        cutoff = at or self.last()
+        k = self.scale(percent)
+        signed = {leaf: s * k for leaf, s in self.signed(None, cutoff).items()}
+        lines = [f"balance as of {cutoff.isoformat()}"]
+        for node in sorted(self.nodes, key=path_key):
+            name = path_key(node)
+            under = [leaf for leaf in self.leaves if path_key(leaf)[: len(name)] == name]
+            if any(signed[leaf] or show_zero for leaf in under):
+                total = sum((signed[leaf] for leaf in under), Fraction(0))
+                lines.append(f"{'  ' * len(name)}{name[-1]}  {self.value(total, percent, places)}")
+        debit = sum((max(s, 0) for s in signed.values()), Fraction(0))
+        credit = sum((max(-s, 0) for s in signed.values()), Fraction(0))
+        lines.append(self.total_line(debit, credit, places))
+        return "\n".join(lines) + "\n"
+
+    def equation(self, at, percent, places) -> str:
+        signed = self.signed(None, at or self.last())
+        k = self.scale(percent)
+        terms = []
+        for leaf in sorted(self.leaves, key=path_key):
+            s = signed[leaf] * k
+            if s:
+                debit, credit = max(s, 0), max(-s, 0)
+                terms.append(f"({fmt(debit, places)}, {fmt(credit, places)})_{leaf}")
+        debit = sum((max(s, 0) for s in signed.values()), Fraction(0)) * k
+        credit = sum((max(-s, 0) for s in signed.values()), Fraction(0)) * k
+        return f"0 = {' + '.join(terms) or '(0, 0)'}\n{self.total_line(debit, credit, places)}\n"
+
+    def flows(self, start, end, percent, places, show_zero) -> tuple[int, str, str]:
+        if start is None:
+            start = self.txs[0].date - DAY if self.txs else dt.date.min
+        end = end or self.last()
+        if start > end:
+            return 1, "", f"error: inverted interval: {start} > {end}\n"
+        k = self.scale(percent)
+        signed = self.signed(start, end)
+        lines = [f"flows from {start.isoformat()} to {end.isoformat()}"]
+        for leaf in sorted(self.leaves, key=path_key):
+            net = signed[leaf] * k
+            if net or show_zero:
+                side = "cr" if net < 0 else "dr"
+                lines.append(f"  {leaf}  {side} {self.value(abs(net), percent, places)}")
+        moved = [p.entry for tx in self.txs if start < tx.date <= end for p in tx.postings]
+        debit = sum((e.debit.as_fraction for e in moved), Fraction(0)) * k
+        credit = sum((e.credit.as_fraction for e in moved), Fraction(0)) * k
+        lines.append(self.total_line(debit, credit, places))
+        return 0, "\n".join(lines) + "\n", ""
+
+
+# -- the runs ---------------------------------------------------------
+
+
+def run(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def probe_dates(oracle: Oracle) -> list[dt.date]:
+    """The first, a middle and the last transaction date, and the days
+    just before and after each."""
+    dates = sorted({tx.date for tx in oracle.txs})
+    picked = [dates[0], dates[len(dates) // 2], dates[-1]]
+    return sorted({d + k * DAY for d in picked for k in (-1, 0, 1)})
+
+
+# (--decimal places, --percent, --show-zero)
+RENDERINGS = [
+    (None, False, False),
+    (2, False, False),
+    (None, True, False),
+    (None, False, True),
+    (0, True, True),
+]
+
+
+def flags(places, percent, show_zero) -> list[str]:
+    out = [] if places is None else ["--decimal", str(places)]
+    return out + ["--percent"] * percent + ["--show-zero"] * show_zero
+
+
+def check_stderr(err: str, strict: bool):
+    if strict:
+        assert err == ""
+    else:
+        assert all(": warning: implicitly declared account " in line for line in err.splitlines())
+
+
+@pytest.fixture(params=CORPUS, ids=lambda item: item[0])
+def journal(request, tmp_path):
+    name, text, strict = request.param
+    path = tmp_path / f"{name}.journal"
+    path.write_text(text, encoding="utf-8")
+    mode = [] if strict else ["--loose"]
+    return [str(path), *mode], Oracle(text, strict), strict
+
+
+def test_balance_and_equation_match_the_oracle(journal):
+    argv, oracle, strict = journal
+    for at in [None, *probe_dates(oracle)]:
+        at_flags = [] if at is None else ["--at", at.isoformat()]
+        for places, percent, show_zero in RENDERINGS:
+            if percent and oracle.basis is None:
+                continue
+            render = flags(places, percent, show_zero)
+            code, out, err = run(["balance", *argv, *render, *at_flags])
+            assert (code, out) == (0, oracle.balance(at, percent, places, show_zero)), (render, at)
+            check_stderr(err, strict)
+            code, out, err = run(["equation", *argv, *render, *at_flags])
+            assert (code, out) == (0, oracle.equation(at, percent, places)), (render, at)
+            check_stderr(err, strict)
+
+
+def test_flows_match_the_oracle(journal):
+    argv, oracle, strict = journal
+    dates = probe_dates(oracle)
+    intervals = [(None, None), (dates[1], None), (None, dates[-2])]
+    intervals += [(start, end) for start in dates[::2] for end in dates[1::3]]
+    for start, end in intervals:
+        window = [] if start is None else ["--from", start.isoformat()]
+        window += [] if end is None else ["--to", end.isoformat()]
+        for places, percent, show_zero in RENDERINGS:
+            if percent and oracle.basis is None:
+                continue
+            code, out, err = run(["flows", *argv, *flags(places, percent, show_zero), *window])
+            want_code, want_out, want_err = oracle.flows(start, end, percent, places, show_zero)
+            assert (code, out) == (want_code, want_out), (start, end, places, percent)
+            if want_err:
+                assert err.endswith(want_err)
+            else:
+                check_stderr(err, strict)
+
+
+@pytest.mark.parametrize(
+    "value, places, want",
+    [
+        (Fraction(5, 2), 0, "2"),
+        (Fraction(7, 2), 0, "4"),
+        (Fraction(-5, 2), 0, "-2"),
+        (Fraction(1, 8), 2, "0.12"),
+        (Fraction(3, 8), 2, "0.38"),
+        (Fraction(-1, 1000), 2, "-0.00"),
+        (Fraction(2, 3), 12, "0.666666666667"),
+        (Fraction(12345, 1), 2, "12345.00"),
+    ],
+)
+def test_the_oracle_rounds_half_to_even(value, places, want):
+    assert half_even(value, places) == want
+
+
+# -- the views' order -------------------------------------------------
+
+SCHEDULED = (
+    "account assets:machine\naccount equity:capital\naccount bank\n"
+    "account costs\naccount aa:fees\n"
+    "schedule assets:machine costs 1200 over 12 yearly from 2020-01-01 mode contra\n"
+    "schedule bank aa:fees 11 over 11 yearly from 2020-06-30 mode direct\n\n"
+    '2019-12-31 "buy"\n    assets:machine dr 1200\n    equity:capital cr 1211\n    bank dr 11\n'
+)
+
+
+def view_journals():
+    """The corpus, a hand-written journal whose expansion declares period
+    and contra accounts that sort before and among the declared ones,
+    and generated journals with a schedule."""
+    out = [parse_journal(text, strict=strict)[0] for _, text, strict in CORPUS]
+    out.append(parse_journal(SCHEDULED)[0])
+    rng = random.Random(1616)
+    while len(out) < len(CORPUS) + 5:
+        journal = random_journal(rng, max_accounts=30, max_transactions=12)
+        if journal.schedules:
+            out.append(journal)
+    return out
+
+
+VIEW_JOURNALS = view_journals()
+
+
+def in_path_order(paths) -> bool:
+    keys = [p.segments for p in paths]
+    return keys == sorted(keys)
+
+
+@pytest.mark.parametrize("journal", VIEW_JOURNALS, ids=range(len(VIEW_JOURNALS)))
+def test_views_come_out_in_path_order(journal):
+    chart, txs = journal.expand()
+    leaves = set(chart.leaves())
+    dates = sorted({tx.date for tx in txs})
+    probes = [dates[0] - DAY, dates[0], dates[len(dates) // 2], dates[-1]]
+    for i, start in enumerate(probes):
+        stock = journal.stock_at(start).balances
+        assert set(stock) == leaves and in_path_order(stock)
+        for end in probes[i:]:
+            assert in_path_order(journal.flow_between(start, end).balances)
+            rows = journal.reconcile(start, end).rows
+            assert in_path_order([row.account for row in rows])
+            assert len(rows) == len(leaves)

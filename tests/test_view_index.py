@@ -215,16 +215,8 @@ def test_views_are_independent_values(fixture_text):
     cash = AccountPath.parse("assets:cash1")
 
     stock.balances[cash] = TAccount.dr(Amount(7))
-    flow._apply(
-        Transaction(
-            cutoff,
-            "extra",
-            (
-                Posting(cash, TAccount.dr(Amount(3))),
-                Posting(AccountPath.parse("equity:capital"), TAccount.cr(Amount(3))),
-            ),
-        )
-    )
+    flow.balances[cash] += TAccount.dr(Amount(3))
+    flow.balances[AccountPath.parse("equity:capital")] += TAccount.cr(Amount(3))
     share = journal.stock_at(cutoff).balances[cash]
     journal.stock_at(cutoff).refine(cash, [(cash.child("petty"), share)])
 
