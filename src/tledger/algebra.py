@@ -60,6 +60,18 @@ def _signed(value: Fraction) -> str:
     return f"+{_rational(value)}" if value > 0 else _rational(value)
 
 
+def _decimal(value: Fraction, places: int) -> str:
+    """A signed rational at fixed places, ties to even, signed as its digits: -0.02, 0.00."""
+    q, r = divmod(abs(value.numerator) * 10**places, value.denominator)
+    if 2 * r > value.denominator or (2 * r == value.denominator and q % 2):
+        q += 1
+    text = _digits(q)
+    if places:
+        text = text.rjust(places + 1, "0")
+        text = f"{text[:-places]}.{text[-places:]}"
+    return f"-{text}" if q and value < 0 else text
+
+
 def _orderings(field: str):
     """__lt__, __le__, __gt__ and __ge__ on one field, within one class.
 
@@ -252,15 +264,7 @@ class Amount:
         """
         if places < 0:
             raise ValueError("places must be >= 0")
-        scaled = self._value * 10**places
-        q, r = divmod(scaled.numerator, scaled.denominator)
-        double = 2 * r
-        if double > scaled.denominator or (double == scaled.denominator and q % 2):
-            q += 1
-        if places == 0:
-            return _digits(q)
-        digits = _digits(q).rjust(places + 1, "0")
-        return f"{digits[:-places]}.{digits[-places:]}"
+        return _decimal(self._value, places)
 
 
 # Amounts are immutable, so every empty side can share one zero.

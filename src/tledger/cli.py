@@ -7,8 +7,9 @@ failure. Identical inputs and flags produce byte-identical output.
 
 The reports print straight from the replay's integer pairs over D (see
 tledger.ledger): each printed number is an integer, or a difference of
-two, times one unit, 1/D or 1/D over the basis under --percent. Only the
-library views build TAccounts.
+two, times one unit, 1/D, or under --percent 100/D over the basis with a
+% sign. Its sign is that of its printed digits, so nothing prints -0.00.
+Only the library views build TAccounts.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import datetime as dt
 import sys
 from fractions import Fraction
 
-from .algebra import Amount, _rational, _signed
+from .algebra import _decimal, _rational
 from .chart import _segments
 from .errors import IntervalError
 from .ledger import Journal
@@ -26,34 +27,6 @@ from .matching import emit_schedule_transactions
 from .parser import _DATE_RE, FileReport, format_transaction_block, validate_file
 
 __all__ = ["main", "entry"]
-
-
-def _fmt_fraction(value: Fraction, places: int | None) -> str:
-    if places is None:
-        return _rational(value)
-    sign = "-" if value < 0 else ""
-    return sign + Amount(abs(value)).to_decimal(places)
-
-
-def _fmt_value(value: Fraction, percent: bool, places: int | None) -> str:
-    """A signed scalar; percent mode shows it as a percentage of basis."""
-    if percent:
-        return _fmt_fraction(value * 100, places) + "%"
-    return _fmt_fraction(value, places)
-
-
-def _fmt_pair(debit: Fraction, credit: Fraction, places: int | None) -> str:
-    return f"({_fmt_fraction(debit, places)}, {_fmt_fraction(credit, places)})"
-
-
-def _zero_check_line(pairs: dict, unit: Fraction, places: int | None) -> str:
-    """The total line: the componentwise sum of a view's integer pairs."""
-    debit = sum(d for d, _ in pairs.values()) * unit
-    credit = sum(c for _, c in pairs.values()) * unit
-    total = _fmt_pair(debit, credit, places)
-    if debit == credit:
-        return f"total  {total}  = 0  ok"
-    return f"total  {total}  IMBALANCED residual {_signed(debit - credit)}"
 
 
 # -- loading ----------------------------------------------------------
@@ -88,16 +61,34 @@ def _resolve_cutoff(journal: Journal, at: dt.date | None) -> dt.date:
     return txs[-1].date if txs else dt.date.min
 
 
-def _unit(journal: Journal, percent: bool) -> Fraction | None:
-    """What one integer of the replay prints as: 1/D, over the basis
-    under --percent. None, with the error printed, if there is no basis."""
-    unit = Fraction(1, journal._replay.scale)
-    if not percent:
-        return unit
-    if journal.basis is None:
-        print("error: --percent requires a basis declaration", file=sys.stderr)
-        return None
-    return unit / journal.basis.as_fraction
+def _renderer(journal: Journal, args):
+    """The one map from a replay integer to its printed text (see the
+    module docstring); None, with the error printed, if --percent has no
+    basis. plus=True marks a value whose printed digits are positive."""
+    unit, suffix, places = Fraction(1, journal._replay.scale), "", args.decimal
+    if args.percent:
+        if journal.basis is None:
+            print("error: --percent requires a basis declaration", file=sys.stderr)
+            return None
+        unit, suffix = unit * 100 / journal.basis.as_fraction, "%"
+
+    def text(n: int, plus: bool = False) -> str:
+        value = n * unit
+        digits = _rational(value) if places is None else _decimal(value, places)
+        sign = "+" if plus and n > 0 and digits.strip("0.") else ""
+        return f"{sign}{digits}{suffix}"
+
+    return text
+
+
+def _total_line(pairs: dict, text) -> str:
+    """The componentwise sum of a view's integer pairs, and its zero check."""
+    debit = sum(d for d, _ in pairs.values())
+    credit = sum(c for _, c in pairs.values())
+    total = f"total  ({text(debit)}, {text(credit)})"
+    if debit == credit:
+        return f"{total}  = 0  ok"
+    return f"{total}  IMBALANCED residual {text(debit - credit, plus=True)}"
 
 
 # -- commands ---------------------------------------------------------
@@ -106,8 +97,8 @@ def _unit(journal: Journal, percent: bool) -> Fraction | None:
 def cmd_balance(journal: Journal, args) -> int:
     cutoff = _resolve_cutoff(journal, args.at)
     pairs = journal._stock_pairs(cutoff)
-    unit = _unit(journal, args.percent)
-    if unit is None:
+    text = _renderer(journal, args)
+    if text is None:
         return 1
 
     # Sorted paths are in pre-order: a parent sorts right before its
@@ -127,11 +118,11 @@ def cmd_balance(journal: Journal, args) -> int:
             shown[parent] = shown[parent] or shown[segs]
     lines = [f"balance as of {cutoff.isoformat()}"]
     lines.extend(
-        f"{'  ' * len(segs)}{segs[-1]}  {_fmt_value(v * unit, args.percent, args.decimal)}"
+        f"{'  ' * len(segs)}{segs[-1]}  {text(v)}"
         for segs, v in value.items()
         if shown[segs]
     )
-    lines.append(_zero_check_line(pairs, unit, args.decimal))
+    lines.append(_total_line(pairs, text))
     print("\n".join(lines))
     return 0
 
@@ -150,17 +141,16 @@ def cmd_flows(journal: Journal, args) -> int:
     except IntervalError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    unit = _unit(journal, args.percent)
-    if unit is None:
+    text = _renderer(journal, args)
+    if text is None:
         return 1
     lines = [f"flows from {start.isoformat()} to {end.isoformat()}"]
     for account, (debit, credit) in pairs.items():
         net = debit - credit
         if net or args.show_zero:
             side = "cr" if net < 0 else "dr"
-            value = _fmt_value(abs(net) * unit, args.percent, args.decimal)
-            lines.append(f"  {account}  {side} {value}")
-    lines.append(_zero_check_line(pairs, unit, args.decimal))
+            lines.append(f"  {account}  {side} {text(abs(net))}")
+    lines.append(_total_line(pairs, text))
     print("\n".join(lines))
     return 0
 
@@ -168,17 +158,17 @@ def cmd_flows(journal: Journal, args) -> int:
 def cmd_equation(journal: Journal, args) -> int:
     cutoff = _resolve_cutoff(journal, args.at)
     pairs = journal._stock_pairs(cutoff)
-    unit = _unit(journal, args.percent)
-    if unit is None:
+    text = _renderer(journal, args)
+    if text is None:
         return 1
     # a stock pair is already reduced: a zero on at least one side
     terms = [
-        f"{_fmt_pair(d * unit, c * unit, args.decimal)}_{account}"
+        f"({text(d)}, {text(c)})_{account}"
         for account, (d, c) in pairs.items()
         if d or c
     ]
     print(f"0 = {' + '.join(terms) if terms else '(0, 0)'}")
-    print(_zero_check_line(pairs, unit, args.decimal))
+    print(_total_line(pairs, text))
     return 0
 
 
@@ -237,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--percent",
                 action="store_true",
-                help="express values as fractions of the declared basis",
+                help="express values as percentages of the declared basis",
             )
             p.add_argument(
                 "--decimal",

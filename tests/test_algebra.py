@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tledger import Amount, TAccount
-from tledger.algebra import _ZERO_AMOUNT, _rational, _signed
+from tledger.algebra import _ZERO_AMOUNT, _decimal, _rational, _signed
 
 
 def cross_sum_equal(a: TAccount, b: TAccount) -> bool:
@@ -143,6 +143,19 @@ class TestAmount:
     )
     def test_decimal_rendering_half_even(self, text, places, want):
         assert Amount.parse(text).to_decimal(places) == want
+
+    @pytest.mark.parametrize(
+        "value,places,want",
+        [
+            (Fraction(-1, 1000), 2, "0.00"),  # the sign is the rounded digits'
+            (Fraction(-5, 1000), 2, "0.00"),  # tie rounds to even: zero
+            (Fraction(-15, 1000), 2, "-0.02"),
+            (Fraction(-1, 2), 0, "0"),
+            (Fraction(-3, 2), 0, "-2"),
+        ],
+    )
+    def test_signed_decimal_never_prints_negative_zero(self, value, places, want):
+        assert _decimal(value, places) == want
 
     def test_ordering(self):
         small, large = Amount(1, 3), Amount(1, 2)

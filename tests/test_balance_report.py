@@ -3,8 +3,8 @@
 reference_report is the walk the report used before: per node, the
 aggregate over its subtree and a recursive visit of its children, shown
 if --show-zero is set, the aggregate is nonzero, or a child shows, and
-a total line from the TAccount sum of the view. The report through
-cli.main must match it byte for byte.
+a total line from the TAccount sum of the view, every number printed by
+oracles.fmt. The report through cli.main must match it byte for byte.
 """
 
 import datetime as dt
@@ -14,9 +14,10 @@ import random
 import pytest
 
 from journalgen import random_journal
+from oracles import fmt
 from test_report_views import Render, reference_total_line
 from tledger import Journal, parse_journal, serialize_journal
-from tledger.cli import _fmt_value, main
+from tledger.cli import main
 
 NET_ZERO = """\
 account a:x
@@ -56,13 +57,13 @@ def reference_report(journal: Journal, at, opts: Render) -> tuple[int, str]:
             child_lines.extend(visit(child, depth + 1))
         if not (opts.show_zero or not agg.is_zero or child_lines):
             return []
-        value = _fmt_value(agg.balance(), opts.percent, opts.places)
+        value = fmt(agg.balance(), opts.places, opts.percent)
         return [f"{'  ' * (depth + 1)}{path.leaf}  {value}"] + child_lines
 
     lines = [f"balance as of {cutoff.isoformat()}"]
     for root in sorted(p for p in chart.nodes if len(p.segments) == 1):
         lines.extend(visit(root, 0))
-    lines.append(reference_total_line(ledger.total(), opts.places))
+    lines.append(reference_total_line(ledger.total(), opts))
     return 0, "\n".join(lines) + "\n"
 
 

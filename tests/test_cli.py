@@ -88,7 +88,7 @@ class TestBalance:
         assert "    machine  40%" in lines
         assert "    capital  -20%" in lines
         assert "    banks  -40%" in lines
-        assert lines[-1] == "total  (3/5, 3/5)  = 0  ok"
+        assert lines[-1] == "total  (60%, 60%)  = 0  ok"
 
     def test_raw_mode_opening_dollars(self, capsys, fixture_file):
         code, out, _ = run(
@@ -140,26 +140,26 @@ class TestEquation:
         code, out, _ = run(capsys, "equation", fixture_file, "--percent", "--at", "2020-01-01")
         assert code == 0
         assert out.splitlines()[0] == (
-            "0 = (1, 0)_assets:cash"
-            " + (0, 1/5)_equity:capital"
-            " + (0, 2/5)_liabilities:banks"
-            " + (0, 2/5)_liabilities:suppliers"
+            "0 = (100%, 0%)_assets:cash"
+            " + (0%, 20%)_equity:capital"
+            " + (0%, 40%)_liabilities:banks"
+            " + (0%, 40%)_liabilities:suppliers"
         )
 
     def test_post_purchase_decomposition(self, capsys, fixture_file):
         code, out, _ = run(capsys, "equation", fixture_file, "--percent", "--at", "2020-01-04")
         assert out.splitlines()[0] == (
-            "0 = (1/5, 0)_assets:cash1"
-            " + (2/5, 0)_assets:machine"
-            " + (0, 1/5)_equity:capital"
-            " + (0, 2/5)_liabilities:banks"
+            "0 = (20%, 0%)_assets:cash1"
+            " + (40%, 0%)_assets:machine"
+            " + (0%, 20%)_equity:capital"
+            " + (0%, 40%)_liabilities:banks"
         )
 
     def test_year_one_net_machine(self, capsys, fixture_file):
         code, out, _ = run(capsys, "equation", fixture_file, "--percent", "--at", "2021-01-04")
         first = out.splitlines()[0]
-        assert "(8/25, 0)_assets:machine" in first
-        assert "(2/25, 0)_expenses:interest:y1" in first
+        assert "(32%, 0%)_assets:machine" in first
+        assert "(8%, 0%)_expenses:interest:y1" in first
 
     def test_zero_check_footer(self, capsys, fixture_file):
         _, out, _ = run(capsys, "equation", fixture_file, "--at", "2020-01-01")
@@ -176,7 +176,7 @@ class TestFlows:
         lines = out.splitlines()
         assert "  assets:cash2  cr 40%" in lines
         assert "  liabilities:suppliers  dr 40%" in lines
-        assert lines[-1] == "total  (2/5, 2/5)  = 0  ok"
+        assert lines[-1] == "total  (40%, 40%)  = 0  ok"
 
     def test_empty_interval(self, capsys, fixture_file):
         code, out, _ = run(
@@ -277,6 +277,50 @@ class TestTotalLineOnIntegers:
         code, out, _ = run(capsys, command, fixture_file, *flags)
         assert code == 0 and "  = 0  ok" in out
         assert calls == []
+
+
+class TestImbalancedResidual:
+    """The IMBALANCED branch fires only on an engine fault. Here the stock
+    lookup adds one currency unit (whole) or one replay integer to the first
+    account's debit. The residual prints in its line's unit and places,
+    with a + only if its printed digits are nonzero."""
+
+    @pytest.mark.parametrize("command", ["balance", "equation"])
+    @pytest.mark.parametrize(
+        "flags, whole, total",
+        [
+            ([], True, "(370370867/500, 370370367/500)  IMBALANCED residual +1"),
+            (["--decimal", "2"], True, "(740741.73, 740740.73)  IMBALANCED residual +1.00"),
+            (
+                ["--percent"],
+                True,
+                "(7407417340/123456789%, 60%)  IMBALANCED residual +10000/123456789%",
+            ),
+            (
+                ["--percent", "--decimal", "2"],
+                False,
+                "(60.00%, 60.00%)  IMBALANCED residual 0.00%",
+            ),
+        ],
+    )
+    def test_residual_in_the_line_unit(
+        self, capsys, monkeypatch, fixture_file, command, flags, whole, total
+    ):
+        from tledger import Journal
+
+        real = Journal._stock_pairs
+
+        def faulty(self, cutoff):
+            pairs = real(self, cutoff)
+            first = next(iter(pairs))
+            debit, credit = pairs[first]
+            pairs[first] = (debit + (self._replay.scale if whole else 1), credit)
+            return pairs
+
+        monkeypatch.setattr(Journal, "_stock_pairs", faulty)
+        code, out, _ = run(capsys, command, fixture_file, "--at", "2020-01-04", *flags)
+        assert code == 0
+        assert out.splitlines()[-1] == f"total  {total}"
 
 
 class TestSchedule:

@@ -20,7 +20,12 @@ from tledger.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
-JOURNALS = ("empty.journal", "machine_purchase.journal", "machine_purchase_contra.journal")
+JOURNALS = (
+    "empty.journal",
+    "machine_purchase.journal",
+    "machine_purchase_contra.journal",
+    "negative_zero.journal",
+)
 RENDER_FLAGS = (
     [],
     ["--decimal", "0"],

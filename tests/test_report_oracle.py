@@ -7,8 +7,9 @@ exact rounding ties. Every stdout line is
 rebuilt here from one signed Fraction per account, summed straight off
 the expanded postings as tests/oracles.py sums them. The oracle knows
 nothing of the replay's integers or views: subtree sums add every leaf
-under a node, path order is a sort on the colon-split names, and --decimal
-rounds half to even by integer arithmetic of its own.
+under a node, path order is a sort on the colon-split names, and
+oracles.fmt prints every number, a percentage of the basis under --percent,
+rounding --decimal half to even by integer arithmetic of its own.
 
 The views must list accounts in that same path order, the replay's own:
 the keys of stock_at and flow_between balances, and reconcile's rows.
@@ -23,6 +24,7 @@ from fractions import Fraction
 import pytest
 
 from journalgen import prime_journal, random_journal, restyled
+from oracles import fmt, half_even
 from tledger import parse_journal, serialize_journal
 from tledger.cli import main
 
@@ -93,28 +95,6 @@ def path_key(path) -> list[str]:
     return str(path).split(":")
 
 
-def half_even(value: Fraction, places: int) -> str:
-    """value at places decimals, ties to even: round half up, then step
-    an odd tie back down."""
-    n, d = abs(value.numerator) * 10**places, value.denominator
-    q, r = divmod(2 * n + d, 2 * d)
-    if r == 0 and q % 2:
-        q -= 1
-    sign = "-" if value < 0 else ""
-    if places == 0:
-        return f"{sign}{q}"
-    whole, frac = divmod(q, 10**places)
-    return f"{sign}{whole}.{frac:0{places}d}"
-
-
-def fmt(value: Fraction, places) -> str:
-    if places is not None:
-        return half_even(value, places)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 class Oracle:
     """One journal's numbers as signed Fractions, straight off its postings."""
 
@@ -140,13 +120,13 @@ class Oracle:
     def scale(self, percent: bool) -> Fraction:
         return 1 / self.basis if percent else Fraction(1)
 
-    def value(self, v: Fraction, percent: bool, places) -> str:
-        return fmt(v * 100, places) + "%" if percent else fmt(v, places)
-
     @staticmethod
-    def total_line(debit: Fraction, credit: Fraction, places) -> str:
+    def pair(debit: Fraction, credit: Fraction, places, percent) -> str:
+        return f"({fmt(debit, places, percent)}, {fmt(credit, places, percent)})"
+
+    def total_line(self, debit: Fraction, credit: Fraction, places, percent) -> str:
         assert debit == credit
-        return f"total  ({fmt(debit, places)}, {fmt(credit, places)})  = 0  ok"
+        return f"total  {self.pair(debit, credit, places, percent)}  = 0  ok"
 
     def balance(self, at, percent, places, show_zero) -> str:
         cutoff = at or self.last()
@@ -158,10 +138,10 @@ class Oracle:
             under = [leaf for leaf in self.leaves if path_key(leaf)[: len(name)] == name]
             if any(signed[leaf] or show_zero for leaf in under):
                 total = sum((signed[leaf] for leaf in under), Fraction(0))
-                lines.append(f"{'  ' * len(name)}{name[-1]}  {self.value(total, percent, places)}")
+                lines.append(f"{'  ' * len(name)}{name[-1]}  {fmt(total, places, percent)}")
         debit = sum((max(s, 0) for s in signed.values()), Fraction(0))
         credit = sum((max(-s, 0) for s in signed.values()), Fraction(0))
-        lines.append(self.total_line(debit, credit, places))
+        lines.append(self.total_line(debit, credit, places, percent))
         return "\n".join(lines) + "\n"
 
     def equation(self, at, percent, places) -> str:
@@ -172,10 +152,11 @@ class Oracle:
             s = signed[leaf] * k
             if s:
                 debit, credit = max(s, 0), max(-s, 0)
-                terms.append(f"({fmt(debit, places)}, {fmt(credit, places)})_{leaf}")
+                terms.append(f"{self.pair(debit, credit, places, percent)}_{leaf}")
         debit = sum((max(s, 0) for s in signed.values()), Fraction(0)) * k
         credit = sum((max(-s, 0) for s in signed.values()), Fraction(0)) * k
-        return f"0 = {' + '.join(terms) or '(0, 0)'}\n{self.total_line(debit, credit, places)}\n"
+        total = self.total_line(debit, credit, places, percent)
+        return f"0 = {' + '.join(terms) or '(0, 0)'}\n{total}\n"
 
     def flows(self, start, end, percent, places, show_zero) -> tuple[int, str, str]:
         if start is None:
@@ -190,11 +171,11 @@ class Oracle:
             net = signed[leaf] * k
             if net or show_zero:
                 side = "cr" if net < 0 else "dr"
-                lines.append(f"  {leaf}  {side} {self.value(abs(net), percent, places)}")
+                lines.append(f"  {leaf}  {side} {fmt(abs(net), places, percent)}")
         moved = [p.entry for tx in self.txs if start < tx.date <= end for p in tx.postings]
         debit = sum((e.debit.as_fraction for e in moved), Fraction(0)) * k
         credit = sum((e.credit.as_fraction for e in moved), Fraction(0)) * k
-        lines.append(self.total_line(debit, credit, places))
+        lines.append(self.total_line(debit, credit, places, percent))
         return 0, "\n".join(lines) + "\n", ""
 
 
@@ -223,6 +204,7 @@ RENDERINGS = [
     (None, True, False),
     (None, False, True),
     (0, True, True),
+    (12, True, False),
 ]
 
 
@@ -291,7 +273,10 @@ def test_flows_match_the_oracle(journal):
         (Fraction(-5, 2), 0, "-2"),
         (Fraction(1, 8), 2, "0.12"),
         (Fraction(3, 8), 2, "0.38"),
-        (Fraction(-1, 1000), 2, "-0.00"),
+        (Fraction(-1, 1000), 2, "0.00"),
+        (Fraction(-5, 1000), 2, "0.00"),
+        (Fraction(-15, 1000), 2, "-0.02"),
+        (Fraction(-1, 2), 0, "0"),
         (Fraction(2, 3), 12, "0.666666666667"),
         (Fraction(12345, 1), 2, "12345.00"),
     ],

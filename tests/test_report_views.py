@@ -4,8 +4,9 @@ The reports print from the replay's integer pairs. The references below
 are the earlier path, kept here: the public view (stock_at or
 flow_between), scaled by the basis reciprocal under --percent, read
 through nonzero_items() or reduce(), and a total line from the TAccount
-sum of the view. Through cli.main the reports must match them byte for
-byte, on stdout, stderr and exit code.
+sum of the view, every number printed by oracles.fmt. Through cli.main
+the reports must match them byte for byte, on stdout, stderr and exit
+code.
 """
 
 import datetime as dt
@@ -15,9 +16,9 @@ from collections import namedtuple
 import pytest
 
 from journalgen import prime_journal, random_journal
+from oracles import fmt
 from tledger import Ledger, TAccount, parse_journal, serialize_journal
-from tledger.algebra import _signed
-from tledger.cli import _fmt_fraction, _fmt_value, main
+from tledger.cli import main
 
 NO_BASIS = "error: --percent requires a basis declaration\n"
 DAY = dt.timedelta(days=1)
@@ -26,13 +27,16 @@ DAY = dt.timedelta(days=1)
 Render = namedtuple("Render", "places percent show_zero")
 
 
-def reference_total_line(total: TAccount, places) -> str:
-    """The total line from the TAccount sum of a view."""
-    debit = _fmt_fraction(total.debit.as_fraction, places)
-    credit = _fmt_fraction(total.credit.as_fraction, places)
-    if total.is_zero:
-        return f"total  ({debit}, {credit})  = 0  ok"
-    return f"total  ({debit}, {credit})  IMBALANCED residual {_signed(total.balance())}"
+def reference_pair(entry: TAccount, opts: Render) -> str:
+    sides = (entry.debit, entry.credit)
+    debit, credit = (fmt(side.as_fraction, opts.places, opts.percent) for side in sides)
+    return f"({debit}, {credit})"
+
+
+def reference_total_line(total: TAccount, opts: Render) -> str:
+    """The total line from the TAccount sum of a view, which is zero."""
+    assert total.is_zero
+    return f"total  {reference_pair(total, opts)}  = 0  ok"
 
 
 def percent_scaled(journal, ledger: Ledger, opts: Render) -> Ledger | None:
@@ -50,11 +54,9 @@ def reference_equation(journal, at, opts: Render) -> tuple[int, str, str]:
     if ledger is None:
         return 1, "", NO_BASIS
     terms = " + ".join(
-        f"({_fmt_fraction(entry.debit.as_fraction, opts.places)},"
-        f" {_fmt_fraction(entry.credit.as_fraction, opts.places)})_{account}"
-        for account, entry in ledger.nonzero_items()
+        f"{reference_pair(entry, opts)}_{account}" for account, entry in ledger.nonzero_items()
     )
-    total = reference_total_line(ledger.total(), opts.places)
+    total = reference_total_line(ledger.total(), opts)
     return 0, f"0 = {terms or '(0, 0)'}\n{total}\n", ""
 
 
@@ -75,8 +77,8 @@ def reference_flows(journal, start, end, opts: Render) -> tuple[int, str, str]:
         if net.is_zero and not opts.show_zero:
             continue
         side, amount = ("cr", net.credit) if net.credit else ("dr", net.debit)
-        lines.append(f"  {account}  {side} {_fmt_value(amount.as_fraction, opts.percent, opts.places)}")
-    lines.append(reference_total_line(ledger.total(), opts.places))
+        lines.append(f"  {account}  {side} {fmt(amount.as_fraction, opts.places, opts.percent)}")
+    lines.append(reference_total_line(ledger.total(), opts))
     return 0, "\n".join(lines) + "\n", ""
 
 
