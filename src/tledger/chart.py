@@ -63,10 +63,6 @@ class AccountPath(_Record):
             return None
         return AccountPath._prefix(self.segments[:-1])
 
-    @property
-    def leaf(self) -> str:
-        return self.segments[-1]
-
     def child(self, segment: str) -> AccountPath:
         return AccountPath(self.segments + (segment,))
 

@@ -19,7 +19,7 @@ import datetime as dt
 import sys
 from fractions import Fraction
 
-from .algebra import _decimal, _rational
+from .algebra import _decimal, _rational, _signed
 from .chart import _segments
 from .errors import IntervalError
 from .ledger import Journal
@@ -64,7 +64,8 @@ def _resolve_cutoff(journal: Journal, at: dt.date | None) -> dt.date:
 def _renderer(journal: Journal, args):
     """The one map from a replay integer to its printed text (see the
     module docstring); None, with the error printed, if --percent has no
-    basis. plus=True marks a value whose printed digits are positive."""
+    basis. A residual prints exact and signed, whatever --decimal says:
+    it only shows on an engine fault, whose size is the point."""
     unit, suffix, places = Fraction(1, journal._replay.scale), "", args.decimal
     if args.percent:
         if journal.basis is None:
@@ -72,11 +73,12 @@ def _renderer(journal: Journal, args):
             return None
         unit, suffix = unit * 100 / journal.basis.as_fraction, "%"
 
-    def text(n: int, plus: bool = False) -> str:
+    def text(n: int, residual: bool = False) -> str:
         value = n * unit
+        if residual:
+            return f"{_signed(value)}{suffix}"
         digits = _rational(value) if places is None else _decimal(value, places)
-        sign = "+" if plus and n > 0 and digits.strip("0.") else ""
-        return f"{sign}{digits}{suffix}"
+        return f"{digits}{suffix}"
 
     return text
 
@@ -88,7 +90,7 @@ def _total_line(pairs: dict, text) -> str:
     total = f"total  ({text(debit)}, {text(credit)})"
     if debit == credit:
         return f"{total}  = 0  ok"
-    return f"{total}  IMBALANCED residual {text(debit - credit, plus=True)}"
+    return f"{total}  IMBALANCED residual {text(debit - credit, residual=True)}"
 
 
 # -- commands ---------------------------------------------------------

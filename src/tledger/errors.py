@@ -7,6 +7,17 @@ file carry an optional source span attached by whoever knows the location.
 
 from __future__ import annotations
 
+__all__ = [
+    "LedgerError",
+    "DuplicateAccountError",
+    "UnknownAccountError",
+    "NonLeafPostingError",
+    "ImbalanceError",
+    "PartitionMismatchError",
+    "ChildCollisionError",
+    "IntervalError",
+]
+
 
 class LedgerError(Exception):
     """Base class for all engine errors."""

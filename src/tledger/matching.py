@@ -32,7 +32,6 @@ __all__ = [
     "emit_schedule_transactions",
     "contra_account",
     "net_book_value",
-    "add_years",
 ]
 
 CONTRA_SEGMENT = "accumulated-depreciation"

@@ -512,6 +512,5 @@ def validate_file(
         return FileReport(
             "invalid", tuple(diags), posted, f"{errors} validation error(s)"
         )
-    return FileReport(
-        "ok", tuple(diags), posted, f"ok: {posted} transactions, root ≡ 0", journal
-    )
+    noun = "transaction" if posted == 1 else "transactions"
+    return FileReport("ok", tuple(diags), posted, f"ok: {posted} {noun}, root ≡ 0", journal)

@@ -58,7 +58,7 @@ def reference_report(journal: Journal, at, opts: Render) -> tuple[int, str]:
         if not (opts.show_zero or not agg.is_zero or child_lines):
             return []
         value = fmt(agg.balance(), opts.places, opts.percent)
-        return [f"{'  ' * (depth + 1)}{path.leaf}  {value}"] + child_lines
+        return [f"{'  ' * (depth + 1)}{path.segments[-1]}  {value}"] + child_lines
 
     lines = [f"balance as of {cutoff.isoformat()}"]
     for root in sorted(p for p in chart.nodes if len(p.segments) == 1):

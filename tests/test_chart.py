@@ -32,7 +32,6 @@ class TestAccountPath:
         assert path.segments == ("assets", "cash")
         assert str(path) == "assets:cash"
         assert path.parent == p("assets")
-        assert path.leaf == "cash"
         assert p("assets").parent is None
 
     @pytest.mark.parametrize("bad", ["", ":", "a:", ":a", "1up", "a b", "a:b:", "é"])

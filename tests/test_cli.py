@@ -68,7 +68,7 @@ class TestCheck:
             encoding="utf-8-sig",
         )
         assert f.read_bytes().startswith(b"\xef\xbb\xbf")
-        assert run(capsys, "check", str(f)) == (0, "ok: 1 transactions, root ≡ 0\n", "")
+        assert run(capsys, "check", str(f)) == (0, "ok: 1 transaction, root ≡ 0\n", "")
 
     def test_loose_mode(self, capsys, tmp_path):
         f = tmp_path / "loose.journal"
@@ -282,15 +282,16 @@ class TestTotalLineOnIntegers:
 class TestImbalancedResidual:
     """The IMBALANCED branch fires only on an engine fault. Here the stock
     lookup adds one currency unit (whole) or one replay integer to the first
-    account's debit. The residual prints in its line's unit and places,
-    with a + only if its printed digits are nonzero."""
+    account's debit. The residual prints exact and signed in its line's
+    unit, whatever --decimal says, so even one replay integer shows."""
 
     @pytest.mark.parametrize("command", ["balance", "equation"])
     @pytest.mark.parametrize(
         "flags, whole, total",
         [
             ([], True, "(370370867/500, 370370367/500)  IMBALANCED residual +1"),
-            (["--decimal", "2"], True, "(740741.73, 740740.73)  IMBALANCED residual +1.00"),
+            (["--decimal", "2"], True, "(740741.73, 740740.73)  IMBALANCED residual +1"),
+            (["--decimal", "2"], False, "(740740.73, 740740.73)  IMBALANCED residual +1/2500"),
             (
                 ["--percent"],
                 True,
@@ -299,7 +300,7 @@ class TestImbalancedResidual:
             (
                 ["--percent", "--decimal", "2"],
                 False,
-                "(60.00%, 60.00%)  IMBALANCED residual 0.00%",
+                "(60.00%, 60.00%)  IMBALANCED residual +4/123456789%",
             ),
         ],
     )

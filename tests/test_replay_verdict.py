@@ -56,9 +56,8 @@ def reference_validate_file(text):
     errors = sum(1 for d in diags if d.severity is Severity.ERROR)
     if errors:
         return FileReport("invalid", tuple(diags), posted, f"{errors} validation error(s)")
-    return FileReport(
-        "ok", tuple(diags), posted, f"ok: {posted} transactions, root ≡ 0", journal
-    )
+    noun = "transaction" if posted == 1 else "transactions"
+    return FileReport("ok", tuple(diags), posted, f"ok: {posted} {noun}, root ≡ 0", journal)
 
 
 def unbalanced(text, which=0):

@@ -79,7 +79,7 @@ def unknown_paths(chart):
     out = [AccountPath(("nowhere",))]
     for leaf in chart.leaves()[:3]:
         out.append(leaf.child("below"))
-        out.append(AccountPath(leaf.segments[:-1] + (leaf.leaf + "x",)))
+        out.append(AccountPath(leaf.segments[:-1] + (leaf.segments[-1] + "x",)))
     return [p for p in out if p not in chart]
 
 
