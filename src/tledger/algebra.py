@@ -22,11 +22,34 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 from operator import attrgetter, ge, gt, le, lt
 
 __all__ = ["Amount", "TAccount"]
 
 _AMOUNT_RE = re.compile(r"([0-9]+)(?:\.([0-9]+)|/([0-9]+))?")
+
+
+def _reduced(whole: str, fraction: str | None, denominator: str | None) -> tuple[int, int]:
+    """_AMOUNT_RE's groups as the literal's reduced (numerator, denominator)."""
+    if fraction is not None:  # int() first: past the int-string limit, fail before 10 ** n
+        num = int(whole + fraction)
+        den = 10 ** len(fraction)
+    elif denominator is None:
+        return int(whole), 1
+    else:
+        num, den = int(whole), int(denominator)
+        if den == 0:
+            raise ValueError("zero denominator")
+    common = gcd(num, den)
+    return num // common, den // common
+
+
+def _parse_literal(text: str) -> tuple[int, int]:
+    """An amount literal's reduced (numerator, denominator); ValueError if malformed."""
+    if m := _AMOUNT_RE.fullmatch(text):
+        return _reduced(*m.groups())
+    raise ValueError(f"malformed amount {text!r}")
 
 
 _CHUNK = 10**600  # below 640, the lowest int-string limit an interpreter accepts
@@ -184,21 +207,7 @@ class Amount:
         before reduction); no floating point is involved. Raises
         ValueError for malformed input or a zero denominator.
         """
-        if m := _AMOUNT_RE.fullmatch(text):
-            return cls._literal(*m.groups())
-        raise ValueError(f"malformed amount {text!r}")
-
-    @classmethod
-    def _literal(cls, whole: str, fraction: str | None, denominator: str | None) -> Amount:
-        # The groups of _AMOUNT_RE: digits only, so the value is non-negative.
-        if fraction is not None:
-            return cls._wrap(Fraction(int(whole + fraction), 10 ** len(fraction)))
-        if denominator is None:
-            return cls._wrap(Fraction(int(whole)))
-        num, den = int(whole), int(denominator)
-        if den == 0:
-            raise ValueError("zero denominator")
-        return cls._wrap(Fraction(num, den))
+        return cls._wrap(Fraction(*_parse_literal(text)))
 
     @property
     def numerator(self) -> int:

@@ -16,10 +16,12 @@ difference of two lookups, as the identity above allows.
 The replay runs on exact integers. The group laws hold for any common
 scaling of both sides, so with D the least common multiple of every
 posting amount's denominator, each amount n/d is the integer n·(D/d)
-and a cumulative pair is two integers over D. The replay proves itself
-on those integers: every step leaves the tree total unchanged, and the
-whole tree ends a zero representative. A view turns into TAccounts
-only the pairs it returns. reconcile checks stock + flow ≡ stock on the
+and a cumulative pair is two integers over D. A posting keeps its
+literal's reduced n and d, which the replay scales, and builds its entry
+only when something reads it. The replay proves itself on those
+integers: every step leaves the tree total unchanged, and the whole
+tree ends a zero representative. A view turns into TAccounts only the
+pairs it returns. reconcile checks stock + flow ≡ stock on the
 integers of its three lookups (scaling by 1/D is injective, so the
 check agrees with one on TAccounts) and builds TAccounts only for its
 rows.
@@ -68,20 +70,47 @@ class Posting(_Record):
 
     The entry must be canonical — a pure debit, a pure credit, or the
     zero pair. General two-sided pairs appear only in computed states.
+    It keeps its sides' reduced integers; a parsed one builds entry on first read.
     """
 
-    __slots__ = _fields = ("account", "entry", "span")
+    __slots__ = ("account", "span", "_ints", "_entry")
+    _fields = ("account", "entry", "span")
     _compared = _fields[:-1]
 
     def __init__(
         self, account: AccountPath, entry: TAccount, span: SourceSpan | None = None
     ):
-        object.__setattr__(self, "account", account)
-        object.__setattr__(self, "entry", entry)
-        object.__setattr__(self, "span", span)
+        debit, credit = entry.debit, entry.credit
         # the shared zero on one side makes an entry canonical without a test
-        if not (entry.debit is _ZERO_AMOUNT or entry.credit is _ZERO_AMOUNT or entry.is_canonical):
+        if not (debit is _ZERO_AMOUNT or credit is _ZERO_AMOUNT or entry.is_canonical):
             raise ValueError(f"posting entry must be a pure debit or credit, got {entry}")
+        ints = debit.numerator, debit.denominator, credit.numerator, credit.denominator
+        self._set(account, span, ints, entry)
+
+    @classmethod
+    def _parsed(cls, account: AccountPath, credit: bool, num: int, den: int, span) -> Posting:
+        """One side's reduced literal as a posting, its entry built on first read."""
+        self = object.__new__(cls)
+        self._set(account, span, (0, 1, num, den) if credit else (num, den, 0, 1), None)
+        return self
+
+    def _set(self, account, span, ints, entry):
+        set_field = object.__setattr__
+        set_field(self, "account", account)
+        set_field(self, "span", span)
+        set_field(self, "_ints", ints)
+        set_field(self, "_entry", entry)
+
+    @property
+    def entry(self) -> TAccount:
+        if self._entry is None:
+            debit_num, debit_den, credit_num, credit_den = self._ints
+            if credit_num:
+                entry = TAccount.cr(Amount(credit_num, credit_den))
+            else:
+                entry = TAccount.dr(Amount(debit_num, debit_den))
+            object.__setattr__(self, "_entry", entry)
+        return self._entry
 
 
 class Transaction(_Record):
@@ -264,28 +293,19 @@ _ZERO = TAccount.zero()
 def _scaled_stream(txs) -> tuple[int, Iterator]:
     """The scale D, and each transaction with its postings' values over D.
 
-    D is the lcm of every posting amount's denominator, and a value is
-    an (account, debit, credit) triple of integers n·(D/d). Values are
-    made one transaction at a time, as the replay reaches it.
+    D is the lcm of every posting side's reduced denominator, and a
+    value is an (account, debit, credit) triple of integers n·(D/d).
+    Values are made one transaction at a time, as the replay reaches it.
     """
-    def sides(p: Posting) -> tuple[Fraction, Fraction]:
-        return p.entry.debit.as_fraction, p.entry.credit.as_fraction
-
-    denominators = {v.denominator for tx in txs for p in tx.postings for v in sides(p)}
+    denominators = {den for tx in txs for p in tx.postings for den in p._ints[1::2]}
     scale = lcm(*denominators)
     up = {den: scale // den for den in denominators}
 
     def values(tx: Transaction) -> list[tuple[AccountPath, int, int]]:
         out = []
         for p in tx.postings:
-            debit, credit = sides(p)
-            out.append(
-                (
-                    p.account,
-                    debit.numerator * up[debit.denominator],
-                    credit.numerator * up[credit.denominator],
-                )
-            )
+            debit_num, debit_den, credit_num, credit_den = p._ints
+            out.append((p.account, debit_num * up[debit_den], credit_num * up[credit_den]))
         return out
 
     return scale, ((tx, values(tx)) for tx in txs)
@@ -533,6 +553,16 @@ class Journal(_Record):
 
 class ReconcileRow(_Record):
     __slots__ = _fields = ("account", "opening", "flow", "closing", "ok")
+
+    def __init__(
+        self, account: AccountPath, opening: TAccount, flow: TAccount, closing: TAccount, ok: bool
+    ):
+        set_field = object.__setattr__
+        set_field(self, "account", account)
+        set_field(self, "opening", opening)
+        set_field(self, "flow", flow)
+        set_field(self, "closing", closing)
+        set_field(self, "ok", ok)
 
 
 class ReconciliationReport(_Record):

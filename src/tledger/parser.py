@@ -38,7 +38,7 @@ from __future__ import annotations
 import datetime as dt
 import re
 
-from .algebra import _AMOUNT_RE, Amount, TAccount, _Record
+from .algebra import _AMOUNT_RE, Amount, _parse_literal, _Record, _reduced
 from .chart import AccountPath, Chart, _declare
 from .diagnostics import ParseDiagnostic, Severity, SourceSpan
 from .errors import DuplicateAccountError
@@ -55,10 +55,10 @@ __all__ = [
 
 _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _HEADER_RE = re.compile(rf'({_DATE_RE.pattern})\s+"([^"]*)"\s*')
-_SIDES = {"dr": TAccount.dr, "debit": TAccount.dr, "cr": TAccount.cr, "credit": TAccount.cr}
+_CREDIT = {"dr": False, "debit": False, "cr": True, "credit": True}  # the side keywords
 # A whole posting (groups 1-6) or header (7-8) line; tokens as _tokens splits them.
 _LINE_RE = re.compile(
-    rf"(?:([ \t]\s*)([^\s;]+)\s+({'|'.join(_SIDES)})\s+{_AMOUNT_RE.pattern}"
+    rf"(?:([ \t]\s*)([^\s;]+)\s+({'|'.join(_CREDIT)})\s+{_AMOUNT_RE.pattern}"
     rf'|({_DATE_RE.pattern})\s+"([^";]*)")\s*(?:;.*)?'
 )
 _TOKEN_RE = re.compile(r"\S+")
@@ -129,9 +129,9 @@ class _FileParser:
             self.paths[token] = path
         return path
 
-    def parse_amount(self, token: str, col: int) -> Amount | None:
+    def parse_amount(self, token: str, col: int, parse=Amount.parse):
         try:
-            return Amount.parse(token)
+            return parse(token)
         except ValueError as err:
             self.error(str(err), self.span(col, len(token)))
             return None
@@ -349,11 +349,11 @@ class _FileParser:
         if self.header is None or not self.nodes.get(path):
             return False  # outside a block, or not an account parsed and declared
         try:
-            amount = Amount._literal(whole, fraction, den)
+            num, den = _reduced(whole, fraction, den)
         except ValueError:  # a zero denominator, or past the int-string limit
             return False
         span = SourceSpan(self.file, self.lineno, len(indent) + 1, len(token))
-        self.postings.append(Posting(path, _SIDES[side](amount), span))
+        self.postings.append(Posting._parsed(path, _CREDIT[side], num, den, span))
         return True
 
     def handle_posting(self, line: str):
@@ -369,19 +369,19 @@ class _FileParser:
             return
         path = self.parse_path(*toks[0])
         side_tok, side_col = toks[1]
-        side = _SIDES.get(side_tok)
-        if side is None:
+        credit = _CREDIT.get(side_tok)
+        if credit is None:
             self.error(
                 f"expected side keyword dr or cr, got {side_tok!r}",
                 self.span(side_col, len(side_tok)),
             )
-        amount = self.parse_amount(*toks[2])
-        if path is None or side is None or amount is None:
+        literal = self.parse_amount(*toks[2], parse=_parse_literal)
+        if path is None or credit is None or literal is None:
             return
         if not self.resolve_account(path, toks[0][1], toks[0][0]):
             return
         span = self.span(toks[0][1], len(toks[0][0]))
-        self.postings.append(Posting(path, side(amount), span))
+        self.postings.append(Posting._parsed(path, credit, *literal, span))
 
 
 def parse_journal(

@@ -30,7 +30,8 @@ def seeded_texts():
 
 
 def with_spans(transactions):
-    return [(tx, tx.span, [p.span for p in tx.postings]) for tx in transactions]
+    """Each transaction with its span and its postings' spans and literal integers."""
+    return [(tx, tx.span, [(p.span, p._ints) for p in tx.postings]) for tx in transactions]
 
 
 def outcome(text, strict):
@@ -41,6 +42,7 @@ def outcome(text, strict):
     return (
         journal,
         journal and with_spans(journal.transactions),
+        journal and journal._replay.scale,
         diagnostics,
         validate_file(text, strict=strict),
         with_spans(state.transactions),
@@ -61,8 +63,8 @@ def test_both_paths_agree(source, strict, monkeypatch, fixture_text, contra_fixt
         with monkeypatch.context() as patch:
             patch.setattr(parser, "_LINE_RE", NEVER)
             tokenized = outcome(text, strict)
-        # journal (==), every span, the diagnostics in order, the report,
-        # and the parser's own state
+        # journal (==), every span and posting's integers, the scale D, the
+        # diagnostics in order, the report, and the parser's own state
         assert fast == tokenized, text
 
 

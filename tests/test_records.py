@@ -7,7 +7,9 @@ before. On values drawn from seeded journalgen journals and the
 fixtures, every record must agree with its twin: ==, !=, hash (with the
 span left out where it was), AccountPath ordering, repr text, defaults,
 keyword construction, validation messages, positional match patterns,
-and refused assignment.
+and refused assignment. A parsed Posting, which builds its entry on
+first read, must also agree with its twin built by the public
+constructor.
 """
 
 import copy
@@ -399,3 +401,44 @@ def test_copy_and_pickle_round_trip(cls):
         for clone in clones:
             assert type(clone) is cls
             assert repr(clone) == repr(value)
+
+
+EDGE_LITERALS = "account a\naccount b\n\n" + "\n".join(
+    f'2020-01-0{day} "t"\n    a {side} {literal}\n\tb {other} {literal}\n'
+    for day, literal in enumerate(("0", "0.00", "000/5", "10/4", "493827.16", "7"), 1)
+    for side, other in (("dr", "credit"), ("cr", "debit"))
+)
+
+
+def _parsed_postings():
+    postings = []
+    for text in ((FIXTURES / "machine_purchase.journal").read_text(encoding="utf-8"), EDGE_LITERALS):
+        journal, diagnostics = parse_journal(text)
+        assert diagnostics == []
+        postings += [p for tx in journal.transactions for p in tx.postings]
+    return postings
+
+
+CHECKS = {
+    "==": lambda p, others: [p == q for q in others] + [q == p for q in others],
+    "hash": lambda p, others: hash(p),
+    "repr": lambda p, others: repr(p),
+    "pickle": lambda p, others: pickle.dumps(p),
+    "unpickled": lambda p, others: repr(pickle.loads(pickle.dumps(p))),
+    "copy": lambda p, others: (copy.copy(p) == p, repr(copy.copy(p)), copy.copy(p)._ints),
+}
+
+
+@pytest.mark.parametrize("check", CHECKS)
+def test_a_parsed_posting_matches_its_publicly_built_twin(check):
+    # The twins are built with the public constructor from a first parse;
+    # each check runs on a fresh parse, whose entries nothing has read.
+    twins = [Posting(p.account, p.entry, p.span) for p in _parsed_postings()]
+    parsed = _parsed_postings()
+    assert len(parsed) > 20 and all(p._entry is None for p in parsed)
+    for posting, twin in zip(parsed, twins):
+        assert CHECKS[check](posting, twins) == CHECKS[check](twin, twins)
+    for posting, twin in zip(parsed, twins):
+        assert posting._ints == twin._ints
+        assert posting.entry is posting.entry
+        assert "_ints" not in repr(posting) and "_entry" not in repr(posting)
