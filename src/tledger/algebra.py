@@ -10,7 +10,9 @@ representative of a class has a zero on at least one side.
 The classes form a group isomorphic to the additive rationals, and
 TAccount.balance (debit minus credit) is that isomorphism. Signed
 quantities, such as a balance or an imbalance residual, are therefore
-plain Fractions.
+plain Fractions, and reduce and equivalent read a pair's class from its
+balance. A library sum of many pairs is one pass over a common
+denominator, whose scaled numerators add as integers.
 
 All arithmetic is exact: amounts are arbitrary-precision rationals kept
 in lowest terms, so the group laws hold with component equality, never
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import attrgetter, ge, gt, le, lt
 
 __all__ = ["Amount", "TAccount"]
@@ -314,25 +316,22 @@ class TAccount(_Record):
         return TAccount(self.credit, self.debit)
 
     def equivalent(self, other: TAccount) -> bool:
-        """Whether the two pairs carry the same class: cross-sums agree.
+        """Whether the two pairs carry the same class: equal balances.
 
-        (a, b) ~ (c, d) iff a + d = b + c.
+        (a, b) ~ (c, d) iff a + d = b + c, that is iff a - b = c - d.
         """
-        return (
-            self.debit.as_fraction + other.credit.as_fraction
-            == other.debit.as_fraction + self.credit.as_fraction
-        )
+        return self.balance() == other.balance()
 
     def reduce(self) -> TAccount:
-        """The canonical class representative: subtract the common part.
+        """The canonical class representative: |balance| on the side of its sign.
 
         The result is equivalent to the input and has a zero on at least
         one side. Idempotent.
         """
-        debit, credit = self.debit, self.credit
-        if debit >= credit:
-            return TAccount(debit - credit, _ZERO_AMOUNT)
-        return TAccount(_ZERO_AMOUNT, credit - debit)
+        balance = self.balance()
+        if balance >= 0:
+            return TAccount(Amount._wrap(balance), _ZERO_AMOUNT)
+        return TAccount(_ZERO_AMOUNT, Amount._wrap(-balance))
 
     def balance(self) -> Fraction:
         """The signed value of the class: debit minus credit.
@@ -361,3 +360,15 @@ class TAccount(_Record):
 
     def __str__(self) -> str:
         return f"({self.debit}, {self.credit})"
+
+
+def _sum(entries) -> TAccount:
+    """The componentwise sum of T-accounts, in one pass over a common denominator.
+
+    lcm() is 1, so an empty sum is the zero pair.
+    """
+    sides = [(t.debit._value, t.credit._value) for t in entries]
+    scale = lcm(*(side.denominator for pair in sides for side in pair))
+    debit = sum(d.numerator * (scale // d.denominator) for d, _ in sides)
+    credit = sum(c.numerator * (scale // c.denominator) for _, c in sides)
+    return TAccount(Amount._wrap(Fraction(debit, scale)), Amount._wrap(Fraction(credit, scale)))

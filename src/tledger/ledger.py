@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .algebra import _ZERO_AMOUNT, Amount, TAccount, _Record, _signed
+from .algebra import _ZERO_AMOUNT, Amount, TAccount, _Record, _signed, _sum
 from .chart import AccountPath, Chart
 from .diagnostics import SourceSpan
 from .errors import (
@@ -137,10 +137,7 @@ class Transaction(_Record):
         object.__setattr__(self, "span", span)
 
     def total(self) -> TAccount:
-        out = TAccount.zero()
-        for p in self.postings:
-            out = out + p.entry
-        return out
+        return _sum(p.entry for p in self.postings)
 
 
 def _resolve(chart: Chart, postable, account: AccountPath, span=None) -> AccountPath:
@@ -211,18 +208,11 @@ class Ledger(_Record):
         """Componentwise sum of every leaf in the subtree at path."""
         if path not in self.chart:
             raise UnknownAccountError(f"unknown account {path}")
-        out = TAccount.zero()
-        for leaf, entry in self.balances.items():
-            if path.covers(leaf):
-                out = out + entry
-        return out
+        return _sum(entry for leaf, entry in self.balances.items() if path.covers(leaf))
 
     def total(self) -> TAccount:
         """Sum over the whole tree; a zero representative for any valid state."""
-        out = TAccount.zero()
-        for entry in self.balances.values():
-            out = out + entry
-        return out
+        return _sum(self.balances.values())
 
     def refine(
         self, parent: AccountPath, parts: Sequence[tuple[AccountPath, TAccount]]
@@ -247,9 +237,7 @@ class Ledger(_Record):
             if child in self.chart or child in seen:
                 raise ChildCollisionError(f"child {child} already exists")
             seen.add(child)
-        share_sum = TAccount.zero()
-        for _, share in parts:
-            share_sum = share_sum + share
+        share_sum = _sum(share for _, share in parts)
         target = self.balances[parent]
         if share_sum != target:
             residual = share_sum.balance() - target.balance()
@@ -542,13 +530,9 @@ class Journal(_Record):
         positive, so revenue above cost comes out positive.
         """
         flow = self.flow_between(start, end)
-        rows = []
-        total = TAccount.zero()
-        for root in nominal_roots:
-            agg = flow.aggregate(root)
-            rows.append((root, agg))
-            total = total + agg
-        return IncomeReport(start, end, tuple(rows), total, -total.balance())
+        rows = tuple((root, flow.aggregate(root)) for root in nominal_roots)
+        total = _sum(agg for _, agg in rows)
+        return IncomeReport(start, end, rows, total, -total.balance())
 
 
 class ReconcileRow(_Record):

@@ -264,5 +264,6 @@ def test_the_replay_adds_no_taccounts_or_amounts(monkeypatch):
     report = journal.reconcile(dt.date(2020, 1, 1), dt.date(2020, 6, 30))
     assert report.ok and report.rows
     assert calls == Counter()  # the check runs on the replay's integers
-    journal.stock_at(dt.date(2020, 6, 30)).total()  # the counters count
+    first, second = list(journal.stock_at(dt.date(2020, 6, 30)).balances.values())[:2]
+    first + second  # the counters count
     assert calls["TAccount"] > 0 and calls["Amount"] > 0
