@@ -119,9 +119,11 @@ class _Record:
     """An immutable record of the fields named in _fields.
 
     == (within one class), hash and repr run over the fields, or over
-    _compared where a span stays out of ==. The shared __init__ takes
-    _defaults for the last fields, then runs __post_init__. A subclass
-    without __slots__ keeps a __dict__, for its cached properties.
+    _compared where a span stays out of ==. Each record's __init__ is
+    generated once, when its class is made: it takes _defaults for the
+    last fields, then runs __post_init__ where the class has one. Only
+    Posting and Chart write their own. A subclass without __slots__
+    keeps a __dict__, for its cached properties.
     """
 
     __slots__ = ()
@@ -129,24 +131,19 @@ class _Record:
     _defaults: tuple = ()
 
     def __init_subclass__(cls):
-        cls._key = attrgetter(*(cls._compared or cls._fields))  # called as _key(self)
-        cls.__match_args__ = cls._fields
-
-    def __init__(self, *args, **kwargs):
-        names, defaults = self._fields, self._defaults
-        if kwargs or len(args) != len(names):
-            given = dict(zip(names, args))
-            values = dict(zip(names[len(names) - len(defaults) :], defaults)) | given | kwargs
-            if len(args) > len(names) or given.keys() & kwargs or values.keys() != set(names):
-                raise TypeError(f"{type(self).__name__}() takes {', '.join(names)}")
-            args = [values[name] for name in names]
-        set_field = object.__setattr__
-        for name, value in zip(names, args):
-            set_field(self, name, value)
-        self.__post_init__()
-
-    def __post_init__(self):
-        pass
+        names = cls._fields
+        cls._key = attrgetter(*(cls._compared or names))  # called as _key(self)
+        cls.__match_args__ = names
+        if "__init__" in vars(cls):
+            return
+        body = "".join(f"\n    set_field(self, {name!r}, {name})" for name in names)
+        if hasattr(cls, "__post_init__"):  # looked up per call, so a patched one runs
+            body += "\n    self.__post_init__()"
+        namespace = {"set_field": object.__setattr__}
+        exec(f"def __init__(self, {', '.join(names)}):{body}", namespace)
+        init = cls.__init__ = namespace["__init__"]
+        init.__defaults__ = cls._defaults
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -286,10 +283,6 @@ class TAccount(_Record):
     """An ordered (debit, credit) pair of non-negative exact amounts."""
 
     __slots__ = _fields = ("debit", "credit")
-
-    def __init__(self, debit: Amount, credit: Amount):
-        object.__setattr__(self, "debit", debit)
-        object.__setattr__(self, "credit", credit)
 
     @classmethod
     def dr(cls, amount: Amount) -> TAccount:

@@ -33,17 +33,13 @@ class AccountPath(_Record):
     __slots__ = ("segments", "_hash")
     _fields = ("segments",)
 
-    def __init__(self, segments: tuple[str, ...]):
-        object.__setattr__(self, "segments", segments)
-        self.__post_init__()
-        object.__setattr__(self, "_hash", hash((segments,)))
-
     def __post_init__(self):
         if not self.segments:
             raise ValueError("account path needs at least one segment")
         for seg in self.segments:
             if not SEGMENT_RE.match(seg):
                 raise ValueError(f"invalid account segment {seg!r}")
+        object.__setattr__(self, "_hash", hash((self.segments,)))
 
     @classmethod
     def parse(cls, text: str) -> AccountPath:

@@ -123,18 +123,7 @@ class Transaction(_Record):
 
     __slots__ = _fields = ("date", "description", "postings", "span")
     _compared = _fields[:-1]
-
-    def __init__(
-        self,
-        date: dt.date,
-        description: str,
-        postings: tuple[Posting, ...],
-        span: SourceSpan | None = None,
-    ):
-        object.__setattr__(self, "date", date)
-        object.__setattr__(self, "description", description)
-        object.__setattr__(self, "postings", postings)
-        object.__setattr__(self, "span", span)
+    _defaults = (None,)
 
     def total(self) -> TAccount:
         return _sum(p.entry for p in self.postings)
@@ -537,16 +526,6 @@ class Journal(_Record):
 
 class ReconcileRow(_Record):
     __slots__ = _fields = ("account", "opening", "flow", "closing", "ok")
-
-    def __init__(
-        self, account: AccountPath, opening: TAccount, flow: TAccount, closing: TAccount, ok: bool
-    ):
-        set_field = object.__setattr__
-        set_field(self, "account", account)
-        set_field(self, "opening", opening)
-        set_field(self, "flow", flow)
-        set_field(self, "closing", closing)
-        set_field(self, "ok", ok)
 
 
 class ReconciliationReport(_Record):

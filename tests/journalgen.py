@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import datetime as dt
 import random
+from fractions import Fraction
 
 from tledger import (
     AccountPath,
@@ -54,13 +55,15 @@ def random_transaction(
 ) -> Transaction:
     k = rng.randint(2, 5)
     postings = []
-    running = TAccount.zero()
+    net = Fraction(0)  # debits minus credits, summed here, not by the code under test
     for _ in range(k - 1):
         amount = Amount(rng.randint(0, 999), rng.randint(1, 50))
-        entry = TAccount.dr(amount) if rng.random() < 0.5 else TAccount.cr(amount)
+        debit = rng.random() < 0.5
+        entry = TAccount.dr(amount) if debit else TAccount.cr(amount)
         postings.append(Posting(rng.choice(leaves), entry))
-        running = running + entry
-    postings.append(Posting(rng.choice(leaves), running.inverse().reduce()))
+        net += amount.as_fraction if debit else -amount.as_fraction
+    balancing = TAccount.cr(Amount(net)) if net > 0 else TAccount.dr(Amount(-net))
+    postings.append(Posting(rng.choice(leaves), balancing))
     return Transaction(date, f"generated {label}", tuple(postings))
 
 

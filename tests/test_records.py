@@ -1,11 +1,13 @@
 """tledger's records keep the value semantics of frozen dataclasses.
 
-The fifteen records are plain classes over one shared base. Each gets a
-twin here, made with dataclasses.make_dataclass from the same fields,
-defaults and compare flags, which is how the records were declared
-before. On values drawn from seeded journalgen journals and the
-fixtures, every record must agree with its twin: ==, !=, hash (with the
-span left out where it was), AccountPath ordering, repr text, defaults,
+The fifteen records are plain classes over one shared base, which
+generates each record's __init__ once, when its class is made; only
+Posting and Chart write their own. Each record gets a twin here, made
+with dataclasses.make_dataclass from the same fields, defaults and
+compare flags, which is how the records were declared before. On values
+drawn from seeded journalgen journals and the fixtures, every record
+must agree with its twin: ==, !=, hash (with the span left out where it
+was), AccountPath ordering, repr text, constructor signature, defaults,
 keyword construction, validation messages, positional match patterns,
 and refused assignment. A parsed Posting, which builds its entry on
 first read, must also agree with its twin built by the public
@@ -14,6 +16,7 @@ constructor.
 
 import copy
 import datetime as dt
+import inspect
 import itertools
 import pickle
 import random
@@ -290,6 +293,11 @@ def _required(cls):
 @pytest.mark.parametrize("cls", SPECS, ids=lambda c: c.__name__)
 def test_keyword_construction_and_defaults_match_the_twin(cls):
     twin = TWINS[cls]
+    params = inspect.signature(cls).parameters.values()
+    twin_params = inspect.signature(twin).parameters.values()
+    assert [(p.name, p.kind) for p in params] == [(p.name, p.kind) for p in twin_params]
+    if cls is not Chart:  # the twin's default is a factory
+        assert [p.default for p in params] == [p.default for p in twin_params]
     for value in VALUES[cls][:10]:
         kwargs = {name: getattr(value, name) for name in cls._fields}
         by_keyword, twin_by_keyword = cls(**kwargs), twin(**kwargs)
