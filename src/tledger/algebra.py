@@ -47,13 +47,6 @@ def _reduced(whole: str, fraction: str | None, denominator: str | None) -> tuple
     return num // common, den // common
 
 
-def _parse_literal(text: str) -> tuple[int, int]:
-    """An amount literal's reduced (numerator, denominator); ValueError if malformed."""
-    if m := _AMOUNT_RE.fullmatch(text):
-        return _reduced(*m.groups())
-    raise ValueError(f"malformed amount {text!r}")
-
-
 _CHUNK = 10**600  # below 640, the lowest int-string limit an interpreter accepts
 
 
@@ -206,7 +199,9 @@ class Amount:
         before reduction); no floating point is involved. Raises
         ValueError for malformed input or a zero denominator.
         """
-        return cls._wrap(Fraction(*_parse_literal(text)))
+        if m := _AMOUNT_RE.fullmatch(text):
+            return cls._wrap(Fraction(*_reduced(*m.groups())))
+        raise ValueError(f"malformed amount {text!r}")
 
     @property
     def numerator(self) -> int:

@@ -27,10 +27,15 @@ end of file; a comment-only line does not end it. All three forms of
 amount are exact: 493827.16 is 49382716/100, never a float. Dates,
 denominators, counts and, unless loose, declarations are checked too.
 
-Parsing never throws past this boundary: every problem becomes a
-diagnostic with a 1-based source span, and after an error the parser
-skips to the next blank line so one pass can surface several mistakes.
-A journal value is only produced for input with zero errors.
+Each line form (basis, declaration, schedule, header, posting) has one
+pattern and one builder. The pattern fixes the form's keywords and token
+count; the builder checks each token, reports what is wrong with it, and
+builds the value. A line that no pattern takes builds nothing: it gets its
+form's usage error, or the error of a line out of place. Parsing never
+throws past this boundary: every problem becomes a diagnostic with a
+1-based source span, and after an error the parser skips to the next
+blank line so one pass can surface several mistakes. A journal value is
+only produced for input with zero errors.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from __future__ import annotations
 import datetime as dt
 import re
 
-from .algebra import _AMOUNT_RE, Amount, _parse_literal, _Record, _reduced
+from .algebra import _AMOUNT_RE, Amount, _Record, _reduced
 from .chart import AccountPath, Chart, _declare
 from .diagnostics import ParseDiagnostic, Severity, SourceSpan
 from .errors import DuplicateAccountError
@@ -54,19 +59,51 @@ __all__ = [
 ]
 
 _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
-_HEADER_RE = re.compile(rf'({_DATE_RE.pattern})\s+"([^"]*)"\s*')
 _CREDIT = {"dr": False, "debit": False, "cr": True, "credit": True}  # the side keywords
-# A whole posting (groups 1-6) or header (7-8) line; tokens as _tokens splits them.
-_LINE_RE = re.compile(
-    rf"(?:([ \t]\s*)([^\s;]+)\s+({'|'.join(_CREDIT)})\s+{_AMOUNT_RE.pattern}"
-    rf'|({_DATE_RE.pattern})\s+"([^";]*)")\s*(?:;.*)?'
-)
-_TOKEN_RE = re.compile(r"\S+")
+_TOKEN = r"([^\s;]+)"
+_AMOUNT = rf"({_AMOUNT_RE.pattern}|[^\s;]+)"  # a token, then its literal's groups if it is one
 
 
-def _tokens(line: str) -> list[tuple[str, int]]:
-    """Whitespace-separated tokens with their 0-based column offsets."""
-    return [(m.group(0), m.start()) for m in _TOKEN_RE.finditer(line)]
+def _literal(token: str, whole: str | None, frac: str | None, den: str | None) -> tuple[int, int]:
+    """An _AMOUNT token's reduced integers, from its literal's groups."""
+    if whole is None:
+        raise ValueError(f"malformed amount {token!r}")
+    return _reduced(whole, frac, den)
+
+
+def _line(*items: str) -> re.Pattern:
+    """A whole line: items apart by whitespace, then an optional comment."""
+    return re.compile(r"\s+".join(items) + r"\s*(?:;.*)?")
+
+
+# Each line form of the grammar, by production: its pattern, which fixes
+# only the keywords and the token count; the _FileParser method that checks
+# a match's tokens and builds its value; the usage error of a line the
+# pattern refuses.
+_FORMS = {
+    "posting": (
+        _line(rf"([ \t]\s*){_TOKEN}", _TOKEN, _AMOUNT),
+        "posting_line",
+        "expected posting: <account-path> <dr|cr> <amount>",
+    ),
+    "header": (
+        _line(f"({_DATE_RE.pattern})", '"([^";]*)"'),
+        "header_line",
+        'expected transaction header: <YYYY-MM-DD> "<description>"',
+    ),
+    "basis": (_line("basis", _AMOUNT), "basis_line", "expected: basis <amount>"),
+    "declaration": (_line("account", _TOKEN), "declaration_line", "expected: account <path>"),
+    "schedule": (
+        _line(
+            "schedule", _TOKEN, _TOKEN, _AMOUNT, "over", _TOKEN,
+            "yearly", "from", _TOKEN, "mode", _TOKEN,
+        ),
+        "schedule_line",
+        "expected: schedule <source> <counterpart> <amount>"
+        " over <n> yearly from <date> mode <direct|contra>",
+    ),
+}
+_KEYWORDS = {"basis": "basis", "account": "declaration", "schedule": "schedule"}
 
 
 class _FileParser:
@@ -89,12 +126,15 @@ class _FileParser:
     # -- diagnostics -------------------------------------------------
 
     def span(self, col: int, length: int) -> SourceSpan:
-        return SourceSpan(self.file, self.lineno, col + 1, max(length, 1))
+        return SourceSpan(self.file, self.lineno, col + 1, length)
+
+    def token_span(self, m: re.Match, group: int) -> SourceSpan:
+        start = m.start(group)  # a token is never empty
+        return SourceSpan(self.file, self.lineno, start + 1, m.end(group) - start)
 
     def line_span(self, line: str) -> SourceSpan:
-        stripped = line.strip()
-        col = line.find(stripped[0]) if stripped else 0
-        return self.span(col, len(stripped))
+        stripped = line.strip()  # never empty
+        return self.span(line.find(stripped[0]), len(stripped))
 
     def error(self, message: str, span: SourceSpan, *, recover: bool = False):
         self.diagnostics.append(ParseDiagnostic(Severity.ERROR, message, span))
@@ -107,83 +147,69 @@ class _FileParser:
     def warn(self, message: str, span: SourceSpan):
         self.diagnostics.append(ParseDiagnostic(Severity.WARNING, message, span))
 
-    # -- small parsers -----------------------------------------------
+    # -- tokens: each check takes a match and the group of its token --
 
-    def shaped(self, line: str, count: int, usage: str, keywords=()) -> list | None:
-        """line's tokens, if there are count of them with each (index, word)
-        of keywords in place; else the usage error, and skip the block."""
-        toks = _tokens(line)
-        if len(toks) == count and all(toks[i][0] == word for i, word in keywords):
-            return toks
-        self.error(usage, self.line_span(line), recover=True)
-        return None
-
-    def parse_path(self, token: str, col: int) -> AccountPath | None:
+    def parse_path(self, m: re.Match, group: int) -> AccountPath | None:
+        token = m[group]
         path = self.paths.get(token)
         if path is None:
             try:
                 path = AccountPath.parse(token)
             except ValueError as err:
-                self.error(str(err), self.span(col, len(token)))
+                self.error(str(err), self.token_span(m, group))
                 return None
             self.paths[token] = path
         return path
 
-    def parse_amount(self, token: str, col: int, parse=Amount.parse):
+    def parse_amount(self, m: re.Match, group: int) -> tuple[int, int] | None:
         try:
-            return parse(token)
+            return _literal(*m.group(group, group + 1, group + 2, group + 3))
         except ValueError as err:
-            self.error(str(err), self.span(col, len(token)))
+            self.error(str(err), self.token_span(m, group))
             return None
 
-    def parse_date(self, token: str, col: int) -> dt.date | None:
+    def parse_date(self, m: re.Match, group: int) -> dt.date | None:
+        token = m[group]
         if not _DATE_RE.fullmatch(token):
-            self.error(f"malformed date {token!r}", self.span(col, len(token)))
+            self.error(f"malformed date {token!r}", self.token_span(m, group))
             return None
         try:
             return dt.date.fromisoformat(token)
         except ValueError:
-            self.error(f"invalid date {token!r}", self.span(col, len(token)))
+            self.error(f"invalid date {token!r}", self.token_span(m, group))
             return None
 
-    def resolve_account(self, path: AccountPath, col: int, token: str) -> bool:
+    def resolve_account(self, path: AccountPath, m: re.Match, group: int) -> bool:
         """Strict mode demands declaration before use; loose declares on use."""
         if self.nodes.get(path):
             return True
         if self.strict:
-            self.error(
-                f"undeclared account {path}", self.span(col, len(token))
-            )
+            self.error(f"undeclared account {path}", self.token_span(m, group))
             return False
         _declare(self.nodes, path)
-        self.warn(
-            f"implicitly declared account {path}", self.span(col, len(token))
-        )
+        self.warn(f"implicitly declared account {path}", self.token_span(m, group))
         return True
 
-    # -- line handlers -----------------------------------------------
+    # -- lines ---------------------------------------------------------
 
     def run(self) -> tuple[Journal | None, list[ParseDiagnostic]]:
+        posting, header = _FORMS["posting"][0], _FORMS["header"][0]
         for raw in self.lines:
             self.lineno += 1
-            m = _LINE_RE.fullmatch(raw)
-            if m and self.fast_line(m):
+            # the likely form first: a posting in a block, else a header
+            if self.header is not None:
+                if m := posting.fullmatch(raw):
+                    self.posting_line(m)
+                    continue
+            elif not self.recovering and (m := header.fullmatch(raw)):
+                self.header_line(m)
                 continue
             line = raw.partition(";")[0]
             if not raw.strip():
                 self.close_transaction()
                 self.recovering = False
             elif line.strip() and not self.recovering:  # comment-only lines keep a block open
-                if line[0] in (" ", "\t"):
-                    self.handle_posting(line)
-                elif line[0].isspace():
-                    self.error(
-                        f"indent must be spaces or tabs, got U+{ord(line[0]):04X}",
-                        self.span(0, len(line) - len(line.lstrip())),
-                        recover=True,
-                    )
-                else:
-                    self.handle_top_level(line)
+                self.other_line(raw, line)
         self.close_transaction()
         if any(d.severity is Severity.ERROR for d in self.diagnostics):
             return None, self.diagnostics
@@ -205,183 +231,129 @@ class _FileParser:
         self.header = None
         self.postings = []
 
-    def handle_top_level(self, line: str):
-        if self.header is not None:
+    def other_line(self, raw: str, line: str):
+        """A line that is not blank, comment-only or skipped, and that run
+        did not take; line is raw without its comment. A directive goes to
+        its form's pattern and builder; any other line gets its error."""
+        if line[0].isspace() and line[0] not in (" ", "\t"):
             self.error(
-                "expected posting or blank line inside transaction block",
-                self.line_span(line),
+                f"indent must be spaces or tabs, got U+{ord(line[0]):04X}",
+                self.span(0, len(line) - len(line.lstrip())),
                 recover=True,
             )
             return
-        keyword = line.split(None, 1)[0]
-        if keyword == "basis":
-            self.handle_basis(line)
-        elif keyword == "account":
-            self.handle_account(line)
-        elif keyword == "schedule":
-            self.handle_schedule(line)
-        elif keyword[0].isdigit():
-            self.handle_header(line)
+        if self.header is not None:
+            if not line[0].isspace():
+                self.error(
+                    "expected posting or blank line inside transaction block",
+                    self.line_span(line),
+                    recover=True,
+                )
+                return
+            form = "posting"
+        elif line[0].isspace():
+            self.error("posting outside a transaction block", self.line_span(line), recover=True)
+            return
         else:
-            self.error(
-                f"unknown directive {keyword!r}", self.line_span(line), recover=True
-            )
+            keyword = line.split(None, 1)[0]
+            form = "header" if keyword[0].isdigit() else _KEYWORDS.get(keyword)
+            if form is None:
+                self.error(f"unknown directive {keyword!r}", self.line_span(line), recover=True)
+                return
+        pattern, builder, usage = _FORMS[form]
+        if m := pattern.fullmatch(raw):  # never a posting or a header: run tried those
+            getattr(self, builder)(m)
+        else:
+            self.error(usage, self.line_span(line), recover=True)
 
-    def handle_basis(self, line: str):
-        toks = self.shaped(line, 2, "expected: basis <amount>")
-        if toks is None:
+    def basis_line(self, m: re.Match):
+        literal = self.parse_amount(m, 1)
+        if literal is None:
             return
-        token, col = toks[1]
-        amount = self.parse_amount(token, col)
-        if amount is None:
-            return
-        if not amount:
-            self.error("basis must be positive", self.span(col, len(token)))
-            return
-        if self.basis is not None:
-            self.error("basis already declared", self.span(col, len(token)))
-            return
-        self.basis = amount
+        if not literal[0]:
+            self.error("basis must be positive", self.token_span(m, 1))
+        elif self.basis is not None:
+            self.error("basis already declared", self.token_span(m, 1))
+        else:
+            self.basis = Amount(*literal)
 
-    def handle_account(self, line: str):
-        toks = self.shaped(line, 2, "expected: account <path>")
-        if toks is None:
-            return
-        token, col = toks[1]
-        path = self.parse_path(token, col)
+    def declaration_line(self, m: re.Match):
+        path = self.parse_path(m, 1)
         if path is None:
             return
         try:
             _declare(self.nodes, path)
         except DuplicateAccountError as err:
-            self.error(str(err), self.span(col, len(token)))
+            self.error(str(err), self.token_span(m, 1))
 
-    def handle_schedule(self, line: str):
-        toks = self.shaped(
-            line,
-            11,
-            "expected: schedule <source> <counterpart> <amount>"
-            " over <n> yearly from <date> mode <direct|contra>",
-            ((4, "over"), (6, "yearly"), (7, "from"), (9, "mode")),
-        )
-        if toks is None:
-            return
-        source = self.parse_path(*toks[1])
-        counterpart = self.parse_path(*toks[2])
-        total = self.parse_amount(*toks[3])
-        n_tok, n_col = toks[5]
-        n_span = self.span(n_col, len(n_tok))
-        digits = n_tok.lstrip("0")
-        if n_tok.isascii() and n_tok.isdigit() and digits:
+    def schedule_line(self, m: re.Match):
+        source = self.parse_path(m, 1)
+        counterpart = self.parse_path(m, 2)
+        total = self.parse_amount(m, 3)
+        digits = m[7].lstrip("0")
+        if m[7].isascii() and m[7].isdigit() and digits:
             # Five or more digits run past MAXYEAR from any start; the cap
             # keeps int() away from arbitrarily long tokens.
             n = int(digits) if len(digits) <= 4 else dt.MAXYEAR
         else:
-            self.error("schedule period count must be a positive integer", n_span)
+            self.error("schedule period count must be a positive integer", self.token_span(m, 7))
             n = None
-        start = self.parse_date(*toks[8])
-        mode_tok, mode_col = toks[10]
+        start = self.parse_date(m, 8)
         try:
-            mode = ScheduleMode(mode_tok)
+            mode = ScheduleMode(m[9])
         except ValueError:
             self.error(
-                f"schedule mode must be direct or contra, got {mode_tok!r}",
-                self.span(mode_col, len(mode_tok)),
+                f"schedule mode must be direct or contra, got {m[9]!r}",
+                self.token_span(m, 9),
             )
             mode = None
         if None in (source, counterpart, total, n, start, mode):
             return
         if start.year + n > dt.MAXYEAR:
-            self.error(f"schedule runs past the year {dt.MAXYEAR}", n_span)
+            self.error(f"schedule runs past the year {dt.MAXYEAR}", self.token_span(m, 7))
             return
-        if not total:
-            self.error(
-                "schedule total must be positive",
-                self.span(toks[3][1], len(toks[3][0])),
-            )
+        if not total[0]:
+            self.error("schedule total must be positive", self.token_span(m, 3))
             return
         if source.covers(counterpart):
             # period accounts under the source would make it interior
             self.error(
                 f"schedule counterpart {counterpart} must not be its source"
                 " or lie under it",
-                self.span(toks[2][1], len(toks[2][0])),
+                self.token_span(m, 2),
             )
             return
-        ok = self.resolve_account(source, toks[1][1], toks[1][0])
-        ok = self.resolve_account(counterpart, toks[2][1], toks[2][0]) and ok
-        if not ok:
-            return
-        self.schedules.append(
-            build_schedule(
-                source, counterpart, total, n, start, mode, span=self.line_span(line)
-            )
-        )
+        ok = self.resolve_account(source, m, 1)
+        if self.resolve_account(counterpart, m, 2) and ok:
+            total, span = Amount(*total), self.span(0, m.end(9))
+            schedule = build_schedule(source, counterpart, total, n, start, mode, span=span)
+            self.schedules.append(schedule)
 
-    def handle_header(self, line: str):
-        m = _HEADER_RE.fullmatch(line)
-        if m is None:
-            self.error(
-                'expected transaction header: <YYYY-MM-DD> "<description>"',
-                self.line_span(line),
-                recover=True,
-            )
-            return
-        date = self.parse_date(m.group(1), 0)
+    def header_line(self, m: re.Match):
+        date = self.parse_date(m, 1)
         if date is None:
             self.recovering = True
             return
-        self.header = (date, m.group(2), self.line_span(line))
+        self.header = (date, m[2], self.span(0, m.end(2) + 1))
 
-    def fast_line(self, m: re.Match) -> bool:
-        """Take a line _LINE_RE matched; False leaves it untouched for the handlers."""
-        indent, token, side, whole, fraction, den, date, description = m.groups()
-        if indent is None:  # a header, which opens a block
-            if self.header is not None or self.recovering:
-                return False
-            try:
-                day = dt.date.fromisoformat(date)
-            except ValueError:  # no such day
-                return False
-            self.header = (day, description, SourceSpan(self.file, self.lineno, 1, m.end(8) + 1))
-            return True
-        path = self.paths.get(token)
-        if self.header is None or not self.nodes.get(path):
-            return False  # outside a block, or not an account parsed and declared
-        try:
-            num, den = _reduced(whole, fraction, den)
-        except ValueError:  # a zero denominator, or past the int-string limit
-            return False
-        span = SourceSpan(self.file, self.lineno, len(indent) + 1, len(token))
-        self.postings.append(Posting._parsed(path, _CREDIT[side], num, den, span))
-        return True
-
-    def handle_posting(self, line: str):
-        if self.header is None:
-            self.error(
-                "posting outside a transaction block",
-                self.line_span(line),
-                recover=True,
-            )
-            return
-        toks = self.shaped(line, 3, "expected posting: <account-path> <dr|cr> <amount>")
-        if toks is None:
-            return
-        path = self.parse_path(*toks[0])
-        side_tok, side_col = toks[1]
-        credit = _CREDIT.get(side_tok)
+    def posting_line(self, m: re.Match):
+        # Most lines are postings, so the path cache, the chart and the span
+        # are read here before any helper is called.
+        indent, token, side, amount, whole, fraction, den = m.groups()
+        path = self.paths.get(token) or self.parse_path(m, 2)
+        credit = _CREDIT.get(side)
         if credit is None:
-            self.error(
-                f"expected side keyword dr or cr, got {side_tok!r}",
-                self.span(side_col, len(side_tok)),
-            )
-        literal = self.parse_amount(*toks[2], parse=_parse_literal)
-        if path is None or credit is None or literal is None:
+            self.error(f"expected side keyword dr or cr, got {side!r}", self.token_span(m, 3))
+        try:
+            literal = _literal(amount, whole, fraction, den)
+        except ValueError as err:
+            self.error(str(err), self.token_span(m, 4))
             return
-        if not self.resolve_account(path, toks[0][1], toks[0][0]):
+        if path is None or credit is None:
             return
-        span = self.span(toks[0][1], len(toks[0][0]))
-        self.postings.append(Posting._parsed(path, credit, *literal, span))
+        if self.nodes.get(path) or self.resolve_account(path, m, 2):
+            span = SourceSpan(self.file, self.lineno, len(indent) + 1, len(token))
+            self.postings.append(Posting._parsed(path, credit, *literal, span))
 
 
 def parse_journal(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import datetime as dt
 import random
+import re
 from fractions import Fraction
 
 from tledger import (
@@ -22,6 +23,7 @@ from tledger import (
     TAccount,
     Transaction,
     build_schedule,
+    serialize_journal,
 )
 
 BASE_DATE = dt.date(2020, 1, 1)
@@ -257,4 +259,137 @@ def hostile_journals() -> list[str]:
         "\ufeff" + _HOSTILE_DECLARATIONS + good,
         good,
     ]
+    return texts
+
+
+_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_EDGE_DATES = [
+    "0001-01-01", "0000-01-01", "0001-01-00", "9999-12-31", "9999-12-32",
+    "10000-01-01", "2020-02-29", "2021-02-29", "2020-1-01",
+]
+_TOKENS = [
+    "dr", "cr", "debit", "credit", "account", "basis", "schedule", "over", "yearly",
+    "from", "mode", "direct", "contra", "5", "0", "1/0", "2020-01-01", '"x"', ";", ":",
+    "a:b", "\u0663", "\u00a0", "\u3000", "\t",
+]
+_LONG_LITERALS = [
+    "9" * 4299, "9" * 4300, "9" * 4301, "1/" + "7" * 4300, "1/" + "7" * 4301,
+    "1" * 2150 + "." + "1" * 2150, "1" * 2150 + "." + "1" * 2151,
+]
+
+
+def _postings(lines):
+    return [i for i, line in enumerate(lines) if line[:1] in (" ", "\t") and line.split()]
+
+
+def _posted(lines, rng):
+    return rng.choice([lines[i].split()[0] for i in _postings(lines)] or ["x"])
+
+
+def _declared(lines):
+    return [words[1] for words in map(str.split, lines) if words[:1] == ["account"] and words[1:]]
+
+
+def _leaf(lines, rng):
+    return rng.choice(_declared(lines) or ["x"])
+
+
+def _swap(lines, i, k, token):
+    """Line i with its k-th whitespace-separated token, if it has one, replaced."""
+    spots = list(re.finditer(r"\S+", lines[i]))
+    if k < len(spots):
+        lines[i] = lines[i][: spots[k].start()] + token + lines[i][spots[k].end() :]
+
+
+def _edge_date(lines, rng):
+    dated = [i for i, line in enumerate(lines) if _DATE_RE.search(line)]
+    if dated:
+        i = rng.choice(dated)
+        lines[i] = _DATE_RE.sub(rng.choice(_EDGE_DATES), lines[i], count=1)
+
+
+def _count_near_cap(lines, rng):
+    # A start near the year 9999 keeps a count that fits small, whatever
+    # date a later mutation gives it; the other counts are refused from any start.
+    year = rng.randint(9988, 9999)
+    n = rng.choice([9999 - year - 1, 9999 - year, 9999 - year + 1, 0, 99999, 10**30])
+    lines += [
+        "account cap",
+        f"schedule {_leaf(lines, rng)} cap 12 over {str(n).zfill(rng.choice([1, 6]))}"
+        f" yearly from {year}-01-01 mode {rng.choice(['direct', 'contra'])}",
+    ]
+
+
+def _non_ascii(lines, rng):
+    i = rng.randrange(len(lines))
+    line = lines[i]
+    spots = [j for j, ch in enumerate(line) if ch in " 0123456789"] or [len(line)]
+    j = rng.choice(spots)
+    ch = rng.choice(["\u00a0", "\u3000"] if line[j : j + 1] == " " else ["\u0663", "\uff15"])
+    lines[i] = line[:j] + ch + line[j + 1 :]
+
+
+def _long_literal(lines, rng):
+    if postings := _postings(lines):
+        _swap(lines, rng.choice(postings), 2, rng.choice(_LONG_LITERALS))
+
+
+def _interior_posting(lines, rng):
+    interior = sorted({path.rsplit(":", 1)[0] for path in _declared(lines) if ":" in path})
+    if postings := _postings(lines):
+        _swap(lines, rng.choice(postings), 0, rng.choice(interior or ["nowhere"]))
+
+
+def _prefix_collision(lines, rng):
+    lines.append(
+        f"schedule {_leaf(lines, rng)} {_posted(lines, rng)} 10 over {rng.randint(1, 3)}"
+        f" yearly from 2020-01-01 mode {rng.choice(['direct', 'contra'])}"
+    )
+
+
+def _edit_token(lines, rng):
+    i = rng.randrange(len(lines))
+    tokens = lines[i].split(" ")
+    j = rng.randrange(len(tokens) + 1)
+    action = rng.choice(["insert", "replace", "delete"])
+    if action == "insert" or not tokens[j:]:
+        tokens.insert(j, rng.choice(_TOKENS))
+    elif action == "replace":
+        tokens[j] = rng.choice(_TOKENS)
+    else:
+        del tokens[j]
+    lines[i] = " ".join(tokens)
+
+
+_MUTATIONS = [
+    _edge_date, _count_near_cap, _non_ascii, _long_literal,
+    _interior_posting, _prefix_collision, _edit_token, _edit_token,
+]
+
+
+def mutated_journals(rng: random.Random, count: int) -> list[str]:
+    """Small journals, each one to three token mutations away from a valid one.
+
+    The mutations probe the edges of the grammar and of its checks: dates
+    at both ends of the range, schedule period counts near the year-9999
+    cap, non-ASCII digits and whitespace, literals of 4300 +- 1 digits,
+    postings to interior accounts, schedules whose counterpart prefix is
+    a posted account, and keywords and tokens inserted, replaced or
+    deleted. Some texts are restyled first, and some get CRLF line ends or
+    a byte order mark. Every schedule emits at most a dozen periods.
+    """
+    texts = []
+    for _ in range(count):
+        text = serialize_journal(random_journal(rng, max_accounts=8, max_transactions=5))
+        if rng.random() < 0.3:
+            text = restyled(text, rng)
+        lines = text.split("\n")
+        for _ in range(rng.randint(1, 3)):
+            rng.choice(_MUTATIONS)(lines, rng)
+        text = "\n".join(lines)
+        if rng.random() < 0.15:
+            text = text.replace("\n", "\r\n")
+        if rng.random() < 0.15:
+            text = "\ufeff" + text
+        texts.append(text)
     return texts

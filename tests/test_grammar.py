@@ -3,10 +3,12 @@
 The EBNF block is translated to regular expressions here, so the tests
 check the documented grammar itself: README.md quotes it verbatim, the
 README example and every fixture parse cleanly, the serializer writes
-only lines the grammar derives, and the one-match line pattern accepts
-exactly the posting and header lines the grammar derives.
+only lines the grammar derives, and each line form's pattern takes
+every line its production derives, and, of the lines it takes, exactly
+those whose tokens the grammar derives.
 """
 
+import functools
 import random
 import re
 import sys
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from journalgen import hostile_journals, random_journal, restyled
+from journalgen import hostile_journals, mutated_journals, random_journal, restyled
 from tledger import parse_journal, serialize_journal, validate_file
 from tledger import parser
 
@@ -160,28 +162,54 @@ def test_serializer_writes_only_grammar_lines(fixture_text, contra_fixture_text)
     assert seen == set(DIRECTIVES)
 
 
+@functools.cache
 def corpus_lines(fixture_text, contra_fixture_text):
     rng = random.Random(6302)
     texts = serialized_texts(fixture_text, contra_fixture_text)
     texts += [restyled(t, rng) for t in texts] + hostile_journals()
+    texts += mutated_journals(random.Random(6303), 1000)
     return {line for text in texts for line in text.split("\n")}
 
 
-def test_line_pattern_accepts_exactly_the_grammar(fixture_text, contra_fixture_text):
+# The token rule each group of a line pattern stands for, by production.
+TOKEN_RULES = {
+    "posting": {2: "path", 3: "side", 4: "amount"},
+    "header": {1: "date"},
+    "basis": {1: "amount"},
+    "declaration": {1: "path"},
+    "schedule": {1: "path", 2: "path", 3: "amount", 7: "digits", 8: "date", 9: "mode"},
+}
+TOKENS = {**RULES, "mode": re.compile("direct|contra")}
+
+
+@pytest.mark.parametrize("form", TOKEN_RULES)
+def test_line_pattern_accepts_exactly_the_grammar(form, fixture_text, contra_fixture_text):
     comment = r"(?:[^\S\n]+)?(?:;[^\n]*)?"
-    grammar = re.compile(f"(?:{RULES['posting'].pattern}|{RULES['header'].pattern}){comment}")
-    counts = {True: 0, False: 0}
+    grammar = re.compile(RULES[form].pattern + comment)
+    pattern, rules = parser._FORMS[form][0], TOKEN_RULES[form]
+    counts = {"derived": 0, "taken, a token refused": 0, "refused": 0}
     for line in corpus_lines(fixture_text, contra_fixture_text):
-        m = parser._LINE_RE.fullmatch(line)
-        # the pattern leaves the account token to the path check
-        derived = m is not None and (m[2] is None or RULES["path"].fullmatch(m[2]))
-        assert bool(grammar.fullmatch(line)) == bool(derived), line
-        counts[bool(derived)] += 1
-    assert min(counts.values()) > 50
+        m = pattern.fullmatch(line)
+        derived = grammar.fullmatch(line) is not None
+        if m is None:
+            assert not derived, line  # the pattern takes every line the production derives
+            counts["refused"] += 1
+            continue
+        # the pattern fixes only the keywords and the token count; the tokens
+        # the builder checks decide whether the grammar derives the line
+        tokens = {group: TOKENS[rule].fullmatch(m[group]) for group, rule in rules.items()}
+        assert derived == all(tokens.values()), line
+        for group, rule in rules.items():
+            if rule == "amount":  # an amount literal's groups follow its token
+                assert (m[group + 1] is not None) == bool(tokens[group]), line
+        counts["derived" if derived else "taken, a token refused"] += 1
+    assert counts["derived"] > 50 and counts["refused"] > 1000, counts
+    if form != "header":  # the header pattern spells out the date
+        assert counts["taken, a token refused"] >= 3, counts
 
 
 def test_regex_whitespace_is_str_isspace():
-    # The one-match pattern and the tokenizer rely on this equivalence.
+    # The line patterns' \s is the grammar's ws, and str.strip's whitespace.
     text = "".join(map(chr, range(sys.maxunicode + 1)))
     assert set(re.findall(r"\s", text)) == {c for c in text if c.isspace()}
 

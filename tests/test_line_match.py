@@ -1,23 +1,391 @@
-"""The one-match line parser against the tokenized handlers it bypasses.
+"""The parser against the two-path parser it replaced, and the parse contract.
 
-A well-formed posting or header line is parsed with one match of
-parser._LINE_RE. Every other line goes to the tokenized handlers, which
-are the only source of diagnostics. Replacing the pattern with one that
-never matches sends every line down the tokenized path, so the two paths
-can be compared on the same input.
+tledger.parser gives each line form of the grammar (posting, header,
+basis, account, schedule) one full-line pattern and one builder. Before,
+one combined pattern took well-formed posting and header lines and built
+them directly, and every other line was split into tokens and built again
+by a handler per form. That parser is kept below, as ReferenceParser.
+Patched in for parser._FileParser, it must give the same journal, spans
+and posting integers, scale D, diagnostics in order, FileReport and
+parser state, in strict and loose mode, on the fixtures, seeded and
+restyled journals, the hostile line corpus and the token-mutation
+corpus. Over the mutation corpus, parse_journal, validate_file and
+cli.main keep their contract, and each well-formed line of the fixture
+and seeded corpora reaches its own form's builder exactly once.
 """
 
+import datetime as dt
 import random
 import re
 from fractions import Fraction
 
 import pytest
 
-from journalgen import hostile_journals, random_journal, restyled
-from tledger import Amount, parse_journal, serialize_journal, validate_file
+from journalgen import hostile_journals, mutated_journals, random_journal, restyled
+from tledger import (
+    AccountPath,
+    Amount,
+    Chart,
+    DuplicateAccountError,
+    Journal,
+    MatchingSchedule,
+    ParseDiagnostic,
+    Posting,
+    ScheduleMode,
+    Severity,
+    SourceSpan,
+    Transaction,
+    build_schedule,
+    cli,
+    parse_journal,
+    serialize_journal,
+    validate_file,
+)
 from tledger import parser
+from tledger.algebra import _AMOUNT_RE, _reduced
+from tledger.chart import _declare
 
-NEVER = re.compile(r"(?!)")
+
+def parse_literal(text: str) -> tuple[int, int]:
+    if m := _AMOUNT_RE.fullmatch(text):
+        return _reduced(*m.groups())
+    raise ValueError(f"malformed amount {text!r}")
+
+
+# -- the replaced parser, as it was ---------------------------------------
+
+_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_HEADER_RE = re.compile(rf'({_DATE_RE.pattern})\s+"([^"]*)"\s*')
+_CREDIT = {"dr": False, "debit": False, "cr": True, "credit": True}  # the side keywords
+# A whole posting (groups 1-6) or header (7-8) line; tokens as _tokens splits them.
+_LINE_RE = re.compile(
+    rf"(?:([ \t]\s*)([^\s;]+)\s+({'|'.join(_CREDIT)})\s+{_AMOUNT_RE.pattern}"
+    rf'|({_DATE_RE.pattern})\s+"([^";]*)")\s*(?:;.*)?'
+)
+_TOKEN_RE = re.compile(r"\S+")
+
+
+def _tokens(line: str) -> list[tuple[str, int]]:
+    """Whitespace-separated tokens with their 0-based column offsets."""
+    return [(m.group(0), m.start()) for m in _TOKEN_RE.finditer(line)]
+
+
+class ReferenceParser:
+    def __init__(self, text: str, file: str, strict: bool):
+        self.file = file
+        self.strict = strict
+        self.lines = text.split("\n")
+        self.diagnostics: list[ParseDiagnostic] = []
+        self.nodes: dict[AccountPath, bool] = {}  # the chart, built in place
+        self.paths: dict[str, AccountPath] = {}  # every valid token, parsed once
+        self.transactions: list[Transaction] = []
+        self.schedules: list[MatchingSchedule] = []
+        self.basis: Amount | None = None
+        self.lineno = 0
+        self.recovering = False
+        # open transaction block, if any
+        self.header: tuple[dt.date, str, SourceSpan] | None = None
+        self.postings: list[Posting] = []
+
+    # -- diagnostics -------------------------------------------------
+
+    def span(self, col: int, length: int) -> SourceSpan:
+        return SourceSpan(self.file, self.lineno, col + 1, max(length, 1))
+
+    def line_span(self, line: str) -> SourceSpan:
+        stripped = line.strip()
+        col = line.find(stripped[0]) if stripped else 0
+        return self.span(col, len(stripped))
+
+    def error(self, message: str, span: SourceSpan, *, recover: bool = False):
+        self.diagnostics.append(ParseDiagnostic(Severity.ERROR, message, span))
+        if recover:
+            self.recovering = True
+            if self.header is not None:
+                self.header = None
+                self.postings = []
+
+    def warn(self, message: str, span: SourceSpan):
+        self.diagnostics.append(ParseDiagnostic(Severity.WARNING, message, span))
+
+    # -- small parsers -----------------------------------------------
+
+    def shaped(self, line: str, count: int, usage: str, keywords=()) -> list | None:
+        """line's tokens, if there are count of them with each (index, word)
+        of keywords in place; else the usage error, and skip the block."""
+        toks = _tokens(line)
+        if len(toks) == count and all(toks[i][0] == word for i, word in keywords):
+            return toks
+        self.error(usage, self.line_span(line), recover=True)
+        return None
+
+    def parse_path(self, token: str, col: int) -> AccountPath | None:
+        path = self.paths.get(token)
+        if path is None:
+            try:
+                path = AccountPath.parse(token)
+            except ValueError as err:
+                self.error(str(err), self.span(col, len(token)))
+                return None
+            self.paths[token] = path
+        return path
+
+    def parse_amount(self, token: str, col: int, parse=Amount.parse):
+        try:
+            return parse(token)
+        except ValueError as err:
+            self.error(str(err), self.span(col, len(token)))
+            return None
+
+    def parse_date(self, token: str, col: int) -> dt.date | None:
+        if not _DATE_RE.fullmatch(token):
+            self.error(f"malformed date {token!r}", self.span(col, len(token)))
+            return None
+        try:
+            return dt.date.fromisoformat(token)
+        except ValueError:
+            self.error(f"invalid date {token!r}", self.span(col, len(token)))
+            return None
+
+    def resolve_account(self, path: AccountPath, col: int, token: str) -> bool:
+        """Strict mode demands declaration before use; loose declares on use."""
+        if self.nodes.get(path):
+            return True
+        if self.strict:
+            self.error(
+                f"undeclared account {path}", self.span(col, len(token))
+            )
+            return False
+        _declare(self.nodes, path)
+        self.warn(
+            f"implicitly declared account {path}", self.span(col, len(token))
+        )
+        return True
+
+    # -- line handlers -----------------------------------------------
+
+    def run(self) -> tuple[Journal | None, list[ParseDiagnostic]]:
+        for raw in self.lines:
+            self.lineno += 1
+            m = _LINE_RE.fullmatch(raw)
+            if m and self.fast_line(m):
+                continue
+            line = raw.partition(";")[0]
+            if not raw.strip():
+                self.close_transaction()
+                self.recovering = False
+            elif line.strip() and not self.recovering:  # comment-only lines keep a block open
+                if line[0] in (" ", "\t"):
+                    self.handle_posting(line)
+                elif line[0].isspace():
+                    self.error(
+                        f"indent must be spaces or tabs, got U+{ord(line[0]):04X}",
+                        self.span(0, len(line) - len(line.lstrip())),
+                        recover=True,
+                    )
+                else:
+                    self.handle_top_level(line)
+        self.close_transaction()
+        if any(d.severity is Severity.ERROR for d in self.diagnostics):
+            return None, self.diagnostics
+        journal = Journal(
+            Chart(self.nodes),
+            tuple(self.transactions),
+            tuple(self.schedules),
+            self.basis,
+        )
+        return journal, self.diagnostics
+
+    def close_transaction(self):
+        if self.header is None:
+            return
+        date, description, span = self.header
+        self.transactions.append(
+            Transaction(date, description, tuple(self.postings), span=span)
+        )
+        self.header = None
+        self.postings = []
+
+    def handle_top_level(self, line: str):
+        if self.header is not None:
+            self.error(
+                "expected posting or blank line inside transaction block",
+                self.line_span(line),
+                recover=True,
+            )
+            return
+        keyword = line.split(None, 1)[0]
+        if keyword == "basis":
+            self.handle_basis(line)
+        elif keyword == "account":
+            self.handle_account(line)
+        elif keyword == "schedule":
+            self.handle_schedule(line)
+        elif keyword[0].isdigit():
+            self.handle_header(line)
+        else:
+            self.error(
+                f"unknown directive {keyword!r}", self.line_span(line), recover=True
+            )
+
+    def handle_basis(self, line: str):
+        toks = self.shaped(line, 2, "expected: basis <amount>")
+        if toks is None:
+            return
+        token, col = toks[1]
+        amount = self.parse_amount(token, col)
+        if amount is None:
+            return
+        if not amount:
+            self.error("basis must be positive", self.span(col, len(token)))
+            return
+        if self.basis is not None:
+            self.error("basis already declared", self.span(col, len(token)))
+            return
+        self.basis = amount
+
+    def handle_account(self, line: str):
+        toks = self.shaped(line, 2, "expected: account <path>")
+        if toks is None:
+            return
+        token, col = toks[1]
+        path = self.parse_path(token, col)
+        if path is None:
+            return
+        try:
+            _declare(self.nodes, path)
+        except DuplicateAccountError as err:
+            self.error(str(err), self.span(col, len(token)))
+
+    def handle_schedule(self, line: str):
+        toks = self.shaped(
+            line,
+            11,
+            "expected: schedule <source> <counterpart> <amount>"
+            " over <n> yearly from <date> mode <direct|contra>",
+            ((4, "over"), (6, "yearly"), (7, "from"), (9, "mode")),
+        )
+        if toks is None:
+            return
+        source = self.parse_path(*toks[1])
+        counterpart = self.parse_path(*toks[2])
+        total = self.parse_amount(*toks[3])
+        n_tok, n_col = toks[5]
+        n_span = self.span(n_col, len(n_tok))
+        digits = n_tok.lstrip("0")
+        if n_tok.isascii() and n_tok.isdigit() and digits:
+            # Five or more digits run past MAXYEAR from any start; the cap
+            # keeps int() away from arbitrarily long tokens.
+            n = int(digits) if len(digits) <= 4 else dt.MAXYEAR
+        else:
+            self.error("schedule period count must be a positive integer", n_span)
+            n = None
+        start = self.parse_date(*toks[8])
+        mode_tok, mode_col = toks[10]
+        try:
+            mode = ScheduleMode(mode_tok)
+        except ValueError:
+            self.error(
+                f"schedule mode must be direct or contra, got {mode_tok!r}",
+                self.span(mode_col, len(mode_tok)),
+            )
+            mode = None
+        if None in (source, counterpart, total, n, start, mode):
+            return
+        if start.year + n > dt.MAXYEAR:
+            self.error(f"schedule runs past the year {dt.MAXYEAR}", n_span)
+            return
+        if not total:
+            self.error(
+                "schedule total must be positive",
+                self.span(toks[3][1], len(toks[3][0])),
+            )
+            return
+        if source.covers(counterpart):
+            # period accounts under the source would make it interior
+            self.error(
+                f"schedule counterpart {counterpart} must not be its source"
+                " or lie under it",
+                self.span(toks[2][1], len(toks[2][0])),
+            )
+            return
+        ok = self.resolve_account(source, toks[1][1], toks[1][0])
+        ok = self.resolve_account(counterpart, toks[2][1], toks[2][0]) and ok
+        if not ok:
+            return
+        self.schedules.append(
+            build_schedule(
+                source, counterpart, total, n, start, mode, span=self.line_span(line)
+            )
+        )
+
+    def handle_header(self, line: str):
+        m = _HEADER_RE.fullmatch(line)
+        if m is None:
+            self.error(
+                'expected transaction header: <YYYY-MM-DD> "<description>"',
+                self.line_span(line),
+                recover=True,
+            )
+            return
+        date = self.parse_date(m.group(1), 0)
+        if date is None:
+            self.recovering = True
+            return
+        self.header = (date, m.group(2), self.line_span(line))
+
+    def fast_line(self, m: re.Match) -> bool:
+        """Take a line _LINE_RE matched; False leaves it untouched for the handlers."""
+        indent, token, side, whole, fraction, den, date, description = m.groups()
+        if indent is None:  # a header, which opens a block
+            if self.header is not None or self.recovering:
+                return False
+            try:
+                day = dt.date.fromisoformat(date)
+            except ValueError:  # no such day
+                return False
+            self.header = (day, description, SourceSpan(self.file, self.lineno, 1, m.end(8) + 1))
+            return True
+        path = self.paths.get(token)
+        if self.header is None or not self.nodes.get(path):
+            return False  # outside a block, or not an account parsed and declared
+        try:
+            num, den = _reduced(whole, fraction, den)
+        except ValueError:  # a zero denominator, or past the int-string limit
+            return False
+        span = SourceSpan(self.file, self.lineno, len(indent) + 1, len(token))
+        self.postings.append(Posting._parsed(path, _CREDIT[side], num, den, span))
+        return True
+
+    def handle_posting(self, line: str):
+        if self.header is None:
+            self.error(
+                "posting outside a transaction block",
+                self.line_span(line),
+                recover=True,
+            )
+            return
+        toks = self.shaped(line, 3, "expected posting: <account-path> <dr|cr> <amount>")
+        if toks is None:
+            return
+        path = self.parse_path(*toks[0])
+        side_tok, side_col = toks[1]
+        credit = _CREDIT.get(side_tok)
+        if credit is None:
+            self.error(
+                f"expected side keyword dr or cr, got {side_tok!r}",
+                self.span(side_col, len(side_tok)),
+            )
+        literal = self.parse_amount(*toks[2], parse=parse_literal)
+        if path is None or credit is None or literal is None:
+            return
+        if not self.resolve_account(path, toks[0][1], toks[0][0]):
+            return
+        span = self.span(toks[0][1], len(toks[0][0]))
+        self.postings.append(Posting._parsed(path, credit, *literal, span))
+
+
+# -- the comparison ---------------------------------------------------------
 
 
 def seeded_texts():
@@ -27,6 +395,10 @@ def seeded_texts():
         text = serialize_journal(random_journal(rng, max_accounts=15, max_transactions=30))
         texts += [text, restyled(text, rng)]
     return texts
+
+
+def mutation_texts():
+    return mutated_journals(random.Random(6203), 600)
 
 
 def with_spans(transactions):
@@ -47,25 +419,28 @@ def outcome(text, strict):
         validate_file(text, strict=strict),
         with_spans(state.transactions),
         state.nodes,
+        state.schedules,
+        state.basis,
     )
 
 
+SOURCES = {"seeded": seeded_texts, "hostile": hostile_journals, "mutated": mutation_texts}
+
+
 @pytest.mark.parametrize("strict", [True, False], ids=["strict", "loose"])
-@pytest.mark.parametrize("source", ["fixtures", "seeded", "hostile"])
-def test_both_paths_agree(source, strict, monkeypatch, fixture_text, contra_fixture_text):
-    texts = {
-        "fixtures": lambda: [fixture_text, contra_fixture_text],
-        "seeded": seeded_texts,
-        "hostile": hostile_journals,
-    }[source]()
+@pytest.mark.parametrize("source", ["fixtures", *SOURCES])
+def test_the_parser_matches_the_reference(
+    source, strict, monkeypatch, fixture_text, contra_fixture_text
+):
+    texts = [fixture_text, contra_fixture_text] if source == "fixtures" else SOURCES[source]()
     for text in texts:
-        fast = outcome(text, strict)
+        new = outcome(text, strict)
         with monkeypatch.context() as patch:
-            patch.setattr(parser, "_LINE_RE", NEVER)
-            tokenized = outcome(text, strict)
+            patch.setattr(parser, "_FileParser", ReferenceParser)
+            old = outcome(text, strict)
         # journal (==), every span and posting's integers, the scale D, the
         # diagnostics in order, the report, and the parser's own state
-        assert fast == tokenized, text
+        assert new == old, text[:300]
 
 
 def test_hostile_corpus_reaches_every_verdict():
@@ -77,32 +452,65 @@ def test_hostile_corpus_reaches_every_verdict():
     assert statuses == {"ok", "invalid", "parse-error"}
 
 
-def test_well_formed_lines_are_never_tokenized(monkeypatch, fixture_text):
-    tokenized, headers = [], []
-    tokens, handle_header = parser._tokens, parser._FileParser.handle_header
+def assert_spans_inside(diagnostics, text):
+    lines = text.removeprefix("\ufeff").split("\n")
+    for d in diagnostics:
+        span = d.span
+        assert span.file == "t.journal" and 1 <= span.line <= len(lines), d
+        assert span.column + span.length - 1 <= len(lines[span.line - 1]), d
 
-    def counted_tokens(line):
-        tokenized.append(line)
-        return tokens(line)
 
-    def counted_header(self, line):
-        headers.append(line)
-        return handle_header(self, line)
+def test_the_mutation_corpus_keeps_the_contract(tmp_path, capsys):
+    path = tmp_path / "t.journal"
+    commands = ["check", "balance", "equation", "flows", "schedule"]
+    codes = set()
+    for i, text in enumerate(mutation_texts()):
+        for strict in (True, False):
+            _, diagnostics = parse_journal(text, "t.journal", strict)
+            assert_spans_inside(diagnostics, text)
+            assert_spans_inside(validate_file(text, "t.journal", strict).diagnostics, text)
+        path.write_text(text, encoding="utf-8", newline="")
+        loose = ["--loose"] if i % 2 else []
+        for command in commands if i % 10 == 0 else commands[:1]:
+            codes.add(cli.main([command, str(path), *loose]))
+        capsys.readouterr()
+    assert codes == {0, 1, 2}  # every verdict, and no other code
 
-    monkeypatch.setattr(parser, "_tokens", counted_tokens)
-    monkeypatch.setattr(parser._FileParser, "handle_header", counted_header)
-    postings = 0
+
+def form_of(line):
+    """The line form a well-formed line has, or None for a blank or comment line."""
+    line = line.partition(";")[0]
+    if not line.strip():
+        return None
+    if line[0].isspace():
+        return "posting"
+    if line[0].isdigit():
+        return "header"
+    return {"basis": "basis", "account": "declaration", "schedule": "schedule"}[line.split()[0]]
+
+
+def test_each_well_formed_line_reaches_its_builder_once(monkeypatch, fixture_text):
+    reached = []
+    for form, (_, builder, _) in parser._FORMS.items():
+        build = getattr(parser._FileParser, builder)
+
+        def counted(self, m, form=form, build=build):
+            reached.append((self.lineno, form))
+            return build(self, m)
+
+        monkeypatch.setattr(parser._FileParser, builder, counted)
+    forms = set()
     for text in [fixture_text] + seeded_texts():
+        reached.clear()
         journal, diagnostics = parse_journal(text)
-        assert journal is not None and diagnostics == []
-        postings += sum(len(tx.postings) for tx in journal.transactions)
-    assert postings > 1000
-    # only directive lines (basis, account, schedule) still go through it
-    assert [line for line in tokenized if line[:1].isspace()] == []
-    assert headers == []
+        assert journal is not None and diagnostics == []  # no usage error, nor any other
+        expected = [(n, form_of(line)) for n, line in enumerate(text.split("\n"), 1)]
+        assert reached == [(n, form) for n, form in expected if form is not None]
+        forms.update(form for _, form in reached)
+    assert forms == set(parser._FORMS)
 
 
-def test_a_recovering_block_never_takes_the_fast_path():
+def test_a_recovering_block_builds_nothing():
     text = (
         "account a\naccount b\n\n"
         '2020-01-01 "x"\n    a dr 1 1\n    a dr 1\n    b cr 1\n'

@@ -5,7 +5,8 @@ a parsed posting builds its entry only when something reads it, and the
 replay scales those integers. The reference is the earlier path, kept
 here: the literal becomes a Fraction inside an Amount
 (reference_literal), then TAccount.dr or TAccount.cr, then a Posting
-through the public constructor, and the replay reads each entry's
+through the public constructor, in place of the parser's one posting
+builder (reference_posting_line), and the replay reads each entry's
 Fractions back into integers (reference_scaled_stream). Patched in, it
 must give the same journal, spans, diagnostics, FileReport, scale D,
 views and CLI output, on seeded journals in both spellings, the hostile
@@ -24,7 +25,6 @@ from journalgen import hostile_journals, prime_journal, random_journal, restyled
 from tledger import (
     Amount,
     Posting,
-    SourceSpan,
     TAccount,
     parse_journal,
     serialize_journal,
@@ -35,7 +35,6 @@ from tledger.algebra import _AMOUNT_RE
 
 DAY = dt.timedelta(days=1)
 SIDES = {"dr": TAccount.dr, "debit": TAccount.dr, "cr": TAccount.cr, "credit": TAccount.cr}
-FAST_LINE = parser._FileParser.fast_line
 
 
 def reference_literal(whole, fraction, denominator) -> Amount:
@@ -55,44 +54,21 @@ def reference_parse(text: str) -> Amount:
     raise ValueError(f"malformed amount {text!r}")
 
 
-def reference_fast_line(self, m) -> bool:
-    indent, token, side, whole, fraction, den = m.groups()[:6]
-    if indent is None:  # a header line, which the change leaves alone
-        return FAST_LINE(self, m)
-    path = self.paths.get(token)
-    if self.header is None or not self.nodes.get(path):
-        return False
-    try:
-        amount = reference_literal(whole, fraction, den)
-    except ValueError:
-        return False
-    span = SourceSpan(self.file, self.lineno, len(indent) + 1, len(token))
-    self.postings.append(Posting(path, SIDES[side](amount), span))
-    return True
-
-
-def reference_handle_posting(self, line: str):
-    if self.header is None:
-        self.error("posting outside a transaction block", self.line_span(line), recover=True)
-        return
-    toks = self.shaped(line, 3, "expected posting: <account-path> <dr|cr> <amount>")
-    if toks is None:
-        return
-    path = self.parse_path(*toks[0])
-    side_tok, side_col = toks[1]
-    side = SIDES.get(side_tok)
+def reference_posting_line(self, m):
+    path = self.parse_path(m, 2)
+    side = SIDES.get(m[3])
     if side is None:
-        self.error(
-            f"expected side keyword dr or cr, got {side_tok!r}",
-            self.span(side_col, len(side_tok)),
-        )
-    amount = self.parse_amount(*toks[2], parse=reference_parse)
+        self.error(f"expected side keyword dr or cr, got {m[3]!r}", self.token_span(m, 3))
+    try:
+        amount = reference_parse(m[4])
+    except ValueError as err:
+        self.error(str(err), self.token_span(m, 4))
+        amount = None
     if path is None or side is None or amount is None:
         return
-    if not self.resolve_account(path, toks[0][1], toks[0][0]):
+    if not self.resolve_account(path, m, 2):
         return
-    span = self.span(toks[0][1], len(toks[0][0]))
-    self.postings.append(Posting(path, side(amount), span))
+    self.postings.append(Posting(path, side(amount), self.token_span(m, 2)))
 
 
 def reference_scaled_stream(txs):
@@ -120,8 +96,7 @@ def reference_scaled_stream(txs):
 
 
 def use_reference(patch):
-    patch.setattr(parser._FileParser, "fast_line", reference_fast_line)
-    patch.setattr(parser._FileParser, "handle_posting", reference_handle_posting)
+    patch.setattr(parser._FileParser, "posting_line", reference_posting_line)
     patch.setattr(ledger, "_scaled_stream", reference_scaled_stream)
 
 
