@@ -314,8 +314,10 @@ class TAccount(_Record):
         """The canonical class representative: |balance| on the side of its sign.
 
         The result is equivalent to the input and has a zero on at least
-        one side. Idempotent.
+        one side. Idempotent: a canonical pair comes back as it is.
         """
+        if self.is_canonical:
+            return self
         balance = self.balance()
         if balance >= 0:
             return TAccount(Amount._wrap(balance), _ZERO_AMOUNT)
@@ -326,7 +328,8 @@ class TAccount(_Record):
 
         Two pairs are equivalent exactly when their balances are equal.
         """
-        return self.debit.as_fraction - self.credit.as_fraction
+        debit, credit = self.debit._value, self.credit._value
+        return debit - credit if debit and credit else debit or -credit
 
     @property
     def is_zero(self) -> bool:

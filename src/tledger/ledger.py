@@ -11,7 +11,9 @@ reconciles exactly with the stock at any later date.
 A journal replays its transactions once, on its first view, and keeps
 each leaf's cumulative pair at every date it moved on. Every view then
 reads that record: a stock is a lookup at the cutoff, a flow the
-difference of two lookups, as the identity above allows.
+difference of two lookups, as the identity above allows. The replay
+keeps its last few lookups, so a month-end close's reconcile reuses the
+stock and flow just read, and last month's stock.
 
 The replay runs on exact integers. The group laws hold for any common
 scaling of both sides, so with D the least common multiple of every
@@ -21,13 +23,13 @@ literal's reduced n and d, which the replay scales, and builds its entry
 only when something reads it. The replay proves itself on those
 integers: every step leaves the tree total unchanged, and the whole
 tree ends a zero representative. A view turns into TAccounts only the
-pairs it returns. reconcile checks stock + flow ≡ stock on the
-integers of its three lookups (scaling by 1/D is injective, so the
-check agrees with one on TAccounts) and builds TAccounts only for its
-rows.
+pairs it returns, each distinct pair once while a memo of a few per leaf
+keeps it. reconcile checks stock + flow ≡ stock on its lookups' integers
+(scaling by 1/D is injective, so the check agrees with one on TAccounts).
 
 Journals and ledgers are immutable; every operation returns a new value,
-so derivations may run concurrently over the same journal.
+so derivations may run concurrently over the same journal. A replay's
+cache is replaced, never emptied in place, so a race only repeats work.
 """
 
 from __future__ import annotations
@@ -265,7 +267,8 @@ class Ledger(_Record):
         return out
 
 
-_ZERO = TAccount.zero()
+_MEMO_PER_LEAF = 4  # a close meets about two new pairs per moved leaf a month
+_RECENT = 5  # a close's month reads its stock, its flow, then last month's stock (3 or 4 back)
 
 def _scaled_stream(txs) -> tuple[int, Iterator]:
     """The scale D, and each transaction with its postings' values over D.
@@ -325,13 +328,50 @@ class _Replay(_Record):
     build TAccounts only for the pairs they return.
     """
 
-    __slots__ = _fields = ("chart", "scale", "posted", "faults", "history")
+    _fields = ("chart", "scale", "posted", "faults", "history")
+    __slots__ = (*_fields, "_taccounts", "_recent")
+
+    def __post_init__(self):
+        object.__setattr__(self, "_taccounts", {})  # (debit, credit) -> TAccount
+        object.__setattr__(self, "_recent", ())  # (window, pairs) of the last lookups
 
     def taccount(self, debit: int, credit: int) -> TAccount:
-        """A pair of integers over scale as a TAccount; a side below zero raises."""
-        if not (debit or credit):
-            return _ZERO
-        return TAccount(self._side(debit), self._side(credit))
+        """A pair of integers over scale as a TAccount, built once per distinct
+        pair while the bounded memo keeps it; a side below zero raises."""
+        memo = self._taccounts
+        taccount = memo.get((debit, credit))
+        if taccount is None:
+            if len(memo) >= _MEMO_PER_LEAF * len(self.history):
+                memo = {}  # replaced, not cleared: a racing reader keeps the old one
+                object.__setattr__(self, "_taccounts", memo)
+            taccount = memo[debit, credit] = TAccount(self._side(debit), self._side(credit))
+        return taccount
+
+    def pairs(self, after: dt.date | None, through: dt.date) -> dict[AccountPath, tuple[int, int]]:
+        """Each leaf's pair over (after, through], as integers over scale.
+
+        after None means from the first transaction, and reduced pairs: a
+        stock; otherwise raw pairs: a flow. The last _RECENT results are
+        kept, shared (no caller may change them) and replaced whole, so a
+        race can only repeat a lookup. A failed one keeps nothing.
+        """
+        window = after, through
+        for key, pairs in self._recent:
+            if key == window:
+                return pairs
+        self.raise_first(after, through)
+        pairs = {}
+        for leaf, (dates, sums) in self.history.items():
+            j = bisect_right(dates, through)
+            debit, credit = sums[j - 1] if j else (0, 0)
+            if after is None:
+                common = min(debit, credit)
+                debit, credit = debit - common, credit - common
+            elif i := bisect_right(dates, after):
+                debit, credit = debit - sums[i - 1][0], credit - sums[i - 1][1]
+            pairs[leaf] = (debit, credit)
+        object.__setattr__(self, "_recent", (*self._recent[1 - _RECENT:], (window, pairs)))
+        return pairs
 
     def view(self, pairs: dict, as_of=None, interval=None) -> Ledger:
         """A view's integer pairs as the Ledger of TAccounts it returns."""
@@ -455,15 +495,7 @@ class Journal(_Record):
 
     def _stock_pairs(self, cutoff: dt.date) -> dict[AccountPath, tuple[int, int]]:
         """stock_at's lookup: each leaf's reduced pair, as integers over scale."""
-        replay = self._replay
-        replay.raise_first(None, cutoff)
-        pairs = {}
-        for leaf, (dates, sums) in replay.history.items():
-            i = bisect_right(dates, cutoff)
-            debit, credit = sums[i - 1] if i else (0, 0)
-            common = min(debit, credit)
-            pairs[leaf] = (debit - common, credit - common)
-        return pairs
+        return self._replay.pairs(None, cutoff)
 
     def flow_between(self, start: dt.date, end: dt.date) -> Ledger:
         """Flow view: raw componentwise posting sums over (start, end].
@@ -480,16 +512,7 @@ class Journal(_Record):
         """flow_between's lookup: each leaf's raw pair, as integers over scale."""
         if start > end:
             raise IntervalError(f"inverted interval: {start} > {end}")
-        replay = self._replay
-        replay.raise_first(start, end)
-        pairs = {}
-        for leaf, (dates, sums) in replay.history.items():
-            i, j = bisect_right(dates, start), bisect_right(dates, end)
-            debit, credit = sums[j - 1] if j else (0, 0)
-            if i:
-                debit, credit = debit - sums[i - 1][0], credit - sums[i - 1][1]
-            pairs[leaf] = (debit, credit)
-        return pairs
+        return self._replay.pairs(start, end)
 
     def reconcile(self, start: dt.date, end: dt.date) -> ReconciliationReport:
         """Check stock(start) + flow(start, end] against stock(end) per account.
@@ -518,10 +541,14 @@ class Journal(_Record):
         Net income is the balance of that aggregate with credit counted
         positive, so revenue above cost comes out positive.
         """
-        flow = self.flow_between(start, end)
-        rows = tuple((root, flow.aggregate(root)) for root in nominal_roots)
+        flow, replay = self._flow_pairs(start, end), self._replay
+        rows = []
+        for root in nominal_roots:
+            _resolve(replay.chart, replay.chart, root)  # any node sums: only an unknown one raises
+            moved = (pair for leaf, pair in flow.items() if root.covers(leaf))
+            rows.append((root, replay.taccount(*map(sum, zip((0, 0), *moved)))))
         total = _sum(agg for _, agg in rows)
-        return IncomeReport(start, end, rows, total, -total.balance())
+        return IncomeReport(start, end, tuple(rows), total, -total.balance())
 
 
 class ReconcileRow(_Record):
