@@ -3,7 +3,9 @@
 Every command is a pure read of a journal file: parse, validate, derive,
 print. Reports go to standard output, diagnostics to standard error.
 Exit codes: 0 success, 1 validation or usage-of-data failure, 2 parse
-failure. Identical inputs and flags produce byte-identical output.
+failure. Identical inputs and flags produce byte-identical output. The
+argument parser is built once per process, on the first main(), and a
+posting's source span only when a diagnostic reads it.
 
 The reports print straight from the replay's integer pairs over D (see
 tledger.ledger): each printed number is an integer, or a difference of
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
+import functools
 import sys
 from fractions import Fraction
 
@@ -211,6 +214,7 @@ def _iso_date(text: str) -> dt.date:
     raise argparse.ArgumentTypeError(f"not a YYYY-MM-DD date: {text!r}")
 
 
+@functools.cache  # built on the first main(), then shared: parsing leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tledger",

@@ -20,12 +20,13 @@ scaling of both sides, so with D the least common multiple of every
 posting amount's denominator, each amount n/d is the integer n·(D/d)
 and a cumulative pair is two integers over D. A posting keeps its
 literal's reduced n and d, which the replay scales, and builds its entry
-only when something reads it. The replay proves itself on those
-integers: every step leaves the tree total unchanged, and the whole
-tree ends a zero representative. A view turns into TAccounts only the
-pairs it returns, each distinct pair once while a memo of a few per leaf
-keeps it. reconcile checks stock + flow ≡ stock on its lookups' integers
-(scaling by 1/D is injective, so the check agrees with one on TAccounts).
+only when something reads it; a parsed one so builds its span, which
+only an error reads. The replay proves itself on those integers: every
+step leaves the tree total unchanged, and the whole tree ends a zero
+representative. A view turns into TAccounts only the pairs it returns,
+each distinct pair once while a memo of a few per leaf keeps it.
+reconcile checks stock + flow ≡ stock on its lookups' integers (scaling
+by 1/D is injective, so the check agrees with one on TAccounts).
 
 Journals and ledgers are immutable; every operation returns a new value,
 so derivations may run concurrently over the same journal. A replay's
@@ -72,10 +73,10 @@ class Posting(_Record):
 
     The entry must be canonical — a pure debit, a pure credit, or the
     zero pair. General two-sided pairs appear only in computed states.
-    It keeps its sides' reduced integers; a parsed one builds entry on first read.
+    It keeps its sides' reduced integers; a parsed one builds entry and span on first read.
     """
 
-    __slots__ = ("account", "span", "_ints", "_entry")
+    __slots__ = ("account", "_span", "_ints", "_entry")
     _fields = ("account", "entry", "span")
     _compared = _fields[:-1]
 
@@ -91,7 +92,7 @@ class Posting(_Record):
 
     @classmethod
     def _parsed(cls, account: AccountPath, credit: bool, num: int, den: int, span) -> Posting:
-        """One side's reduced literal as a posting, its entry built on first read."""
+        """One side's reduced literal as a posting; span may be a SourceSpan's four fields."""
         self = object.__new__(cls)
         self._set(account, span, (0, 1, num, den) if credit else (num, den, 0, 1), None)
         return self
@@ -99,9 +100,17 @@ class Posting(_Record):
     def _set(self, account, span, ints, entry):
         set_field = object.__setattr__
         set_field(self, "account", account)
-        set_field(self, "span", span)
+        set_field(self, "_span", span)
         set_field(self, "_ints", ints)
         set_field(self, "_entry", entry)
+
+    @property
+    def span(self) -> SourceSpan | None:
+        span = self._span
+        if span.__class__ is tuple:  # racing readers may each build an equal span
+            span = SourceSpan(*span)
+            object.__setattr__(self, "_span", span)
+        return span
 
     @property
     def entry(self) -> TAccount:
@@ -189,7 +198,8 @@ class Ledger(_Record):
         """
         validate_transaction(tx)
         for p in tx.postings:
-            _resolve(self.chart, self.balances, p.account, p.span or tx.span)
+            if p.account not in self.balances:  # read the span only to raise
+                _resolve(self.chart, self.balances, p.account, p.span or tx.span)
         balances = dict(self.balances)
         for p in tx.postings:
             balances[p.account] += p.entry
@@ -308,7 +318,8 @@ def _replay_step(chart: Chart, pairs: dict, tx: Transaction, values: list) -> tu
     if len(values) < 2 or debit != credit:
         validate_transaction(tx)
     for p in tx.postings:
-        _resolve(chart, pairs, p.account, p.span or tx.span)
+        if p.account not in pairs:  # read the span only to raise
+            _resolve(chart, pairs, p.account, p.span or tx.span)
     for a, d, c in values:
         old_debit, old_credit = pairs[a]
         pairs[a] = (old_debit + d, old_credit + c)

@@ -168,9 +168,9 @@ class _FileParser:
             self.error(str(err), self.token_span(m, group))
             return None
 
-    def parse_date(self, m: re.Match, group: int) -> dt.date | None:
+    def parse_date(self, m: re.Match, group: int, shaped: bool = False) -> dt.date | None:
         token = m[group]
-        if not _DATE_RE.fullmatch(token):
+        if not (shaped or _DATE_RE.fullmatch(token)):
             self.error(f"malformed date {token!r}", self.token_span(m, group))
             return None
         try:
@@ -330,15 +330,15 @@ class _FileParser:
             self.schedules.append(schedule)
 
     def header_line(self, m: re.Match):
-        date = self.parse_date(m, 1)
+        date = self.parse_date(m, 1, shaped=True)  # the pattern took [0-9]{4}-[0-9]{2}-[0-9]{2}
         if date is None:
             self.recovering = True
             return
         self.header = (date, m[2], self.span(0, m.end(2) + 1))
 
     def posting_line(self, m: re.Match):
-        # Most lines are postings, so the path cache, the chart and the span
-        # are read here before any helper is called.
+        # Most lines are postings, so the path cache and the chart are read here
+        # before any helper is called, and the span is built only if read.
         indent, token, side, amount, whole, fraction, den = m.groups()
         path = self.paths.get(token) or self.parse_path(m, 2)
         credit = _CREDIT.get(side)
@@ -352,8 +352,8 @@ class _FileParser:
         if path is None or credit is None:
             return
         if self.nodes.get(path) or self.resolve_account(path, m, 2):
-            span = SourceSpan(self.file, self.lineno, len(indent) + 1, len(token))
-            self.postings.append(Posting._parsed(path, credit, *literal, span))
+            where = self.file, self.lineno, len(indent) + 1, len(token)
+            self.postings.append(Posting._parsed(path, credit, *literal, where))
 
 
 def parse_journal(

@@ -312,7 +312,7 @@ class TestImbalancedResidual:
         real = Journal._stock_pairs
 
         def faulty(self, cutoff):
-            pairs = real(self, cutoff)
+            pairs = dict(real(self, cutoff))  # a copy: the replay shares the one it keeps
             first = next(iter(pairs))
             debit, credit = pairs[first]
             pairs[first] = (debit + (self._replay.scale if whole else 1), credit)
