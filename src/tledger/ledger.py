@@ -13,7 +13,12 @@ each leaf's cumulative pair at every date it moved on. Every view then
 reads that record: a stock is a lookup at the cutoff, a flow the
 difference of two lookups, as the identity above allows. The replay
 keeps its last few lookups, so a month-end close's reconcile reuses the
-stock and flow just read, and last month's stock.
+stock and flow just read, and last month's stock. The identity also
+cuts each new lookup short: a stock builds on the nearest kept stock, a
+flow on zero, and only the leaves with a posting between the two dates
+are looked up again, the rest copied. A window with at least half as
+many transactions as there are leaves, so about as many postings, is
+read leaf by leaf instead: an even spread guesses it, two bisects count.
 
 The replay runs on exact integers. The group laws hold for any common
 scaling of both sides, so with D the least common multiple of every
@@ -24,13 +29,14 @@ only when something reads it; a parsed one so builds its span, which
 only an error reads. The replay proves itself on those integers: every
 step leaves the tree total unchanged, and the whole tree ends a zero
 representative. A view turns into TAccounts only the pairs it returns,
-each distinct pair once while a memo of a few per leaf keeps it.
-reconcile checks stock + flow ≡ stock on its lookups' integers (scaling
-by 1/D is injective, so the check agrees with one on TAccounts).
+each distinct pair once while a memo of a few per leaf keeps it. A kept
+lookup keeps its TAccounts, built from its base's and the moved leaves';
+reconcile reads them, and checks stock + flow ≡ stock on the lookups'
+integers (scaling by 1/D is injective, so it agrees with TAccounts).
 
 Journals and ledgers are immutable; every operation returns a new value,
 so derivations may run concurrently over the same journal. A replay's
-cache is replaced, never emptied in place, so a race only repeats work.
+caches are replaced or filled, never emptied, so a race only repeats work.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import attrgetter
 
 from .algebra import _ZERO_AMOUNT, Amount, TAccount, _Record, _signed, _sum
 from .chart import AccountPath, Chart
@@ -279,6 +286,7 @@ class Ledger(_Record):
 
 _MEMO_PER_LEAF = 4  # a close meets about two new pairs per moved leaf a month
 _RECENT = 5  # a close's month reads its stock, its flow, then last month's stock (3 or 4 back)
+_date = attrgetter("date")
 
 def _scaled_stream(txs) -> tuple[int, Iterator]:
     """The scale D, and each transaction with its postings' values over D.
@@ -340,11 +348,13 @@ class _Replay(_Record):
     """
 
     _fields = ("chart", "scale", "posted", "faults", "history")
-    __slots__ = (*_fields, "_taccounts", "_recent")
+    # _stream: the replayed transactions, in date order; _reach: the window in days
+    # that would hold half as many of them as there are leaves, spread evenly
+    __slots__ = (*_fields, "_taccounts", "_recent", "_stream", "_reach")
 
     def __post_init__(self):
         object.__setattr__(self, "_taccounts", {})  # (debit, credit) -> TAccount
-        object.__setattr__(self, "_recent", ())  # (window, pairs) of the last lookups
+        object.__setattr__(self, "_recent", ())  # [window, pairs, TAccounts or None] per lookup
 
     def taccount(self, debit: int, credit: int) -> TAccount:
         """A pair of integers over scale as a TAccount, built once per distinct
@@ -358,21 +368,52 @@ class _Replay(_Record):
             taccount = memo[debit, credit] = TAccount(self._side(debit), self._side(credit))
         return taccount
 
+    def taccounts(self, pairs: dict) -> dict[AccountPath, TAccount]:
+        """The TAccounts of a lookup's pairs, in the same order. Those of a
+        kept lookup are kept with it and shared: no caller may change them."""
+        for entry in reversed(self._recent):  # most often the latest
+            if entry[1] is pairs:
+                break
+        else:
+            entry = [None, pairs, None]  # not a kept lookup: built for this call
+        if entry[2] is None:  # filled whole, so a racing reader sees all or none
+            entry[2] = {leaf: self.taccount(d, c) for leaf, (d, c) in pairs.items()}
+        return entry[2]
+
     def pairs(self, after: dt.date | None, through: dt.date) -> dict[AccountPath, tuple[int, int]]:
         """Each leaf's pair over (after, through], as integers over scale.
 
         after None means from the first transaction, and reduced pairs: a
         stock; otherwise raw pairs: a flow. The last _RECENT results are
         kept, shared (no caller may change them) and replaced whole, so a
-        race can only repeat a lookup. A failed one keeps nothing.
+        race can only repeat a lookup. A failed one keeps nothing. Once
+        one is kept, a lookup recomputes only the leaves its base's window
+        moved (see the module docstring), and keeps TAccounts if its base has.
         """
         window = after, through
-        for key, pairs in self._recent:
-            if key == window:
-                return pairs
+        recent = self._recent
+        for entry in recent:
+            if entry[0] == window:
+                return entry[1]
         self.raise_first(after, through)
-        pairs = {}
-        for leaf, (dates, sums) in self.history.items():
+        history = self.history
+        pairs, held, moved = {}, None, history.items()  # read whole unless a base is near
+        if recent:  # one lookup alone pays for no window
+            base, since = None, after  # a flow builds on all-zero pairs
+            for entry in recent if after is None else ():  # a stock on the nearest kept one
+                if entry[0][0] is None and (base is None or abs(through - entry[0][1]) < gap):
+                    base, since, gap = entry, entry[0][1], abs(through - entry[0][1])
+            if since and abs(through - since).days < self._reach:  # guessed, then counted
+                found = self._window(since, through)
+                if 2 * (found.stop - found.start) < len(history):  # 2+ postings each
+                    leaves = {p.account for tx in self._stream[found] for p in tx.postings}
+                    moved = [(leaf, history[leaf]) for leaf in leaves]
+                    if base is None:
+                        pairs = dict.fromkeys(history, (0, 0))
+                        held = dict.fromkeys(history, self.taccount(0, 0))
+                    else:
+                        pairs, held = dict(base[1]), None if base[2] is None else dict(base[2])
+        for leaf, (dates, sums) in moved:
             j = bisect_right(dates, through)
             debit, credit = sums[j - 1] if j else (0, 0)
             if after is None:
@@ -381,13 +422,16 @@ class _Replay(_Record):
             elif i := bisect_right(dates, after):
                 debit, credit = debit - sums[i - 1][0], credit - sums[i - 1][1]
             pairs[leaf] = (debit, credit)
-        object.__setattr__(self, "_recent", (*self._recent[1 - _RECENT:], (window, pairs)))
+            if held is not None:
+                held[leaf] = self.taccount(debit, credit)
+        object.__setattr__(self, "_recent", (*recent[1 - _RECENT:], [window, pairs, held]))
         return pairs
 
-    def view(self, pairs: dict, as_of=None, interval=None) -> Ledger:
-        """A view's integer pairs as the Ledger of TAccounts it returns."""
-        balances = {leaf: self.taccount(d, c) for leaf, (d, c) in pairs.items()}
-        return Ledger(self.chart, balances, as_of, interval)
+    def _window(self, a: dt.date, b: dt.date) -> slice:
+        """The stream's transactions dated between a and b, either way
+        round: two bisects, for _stream is in date order."""
+        i, j = bisect_right(self._stream, a, key=_date), bisect_right(self._stream, b, key=_date)
+        return slice(i, j) if i < j else slice(j, i)
 
     def _side(self, n: int) -> Amount:
         if n > 0:
@@ -498,11 +542,16 @@ class Journal(_Record):
                 drifted = True
         if last is not None and not drifted and sum(d - c for d, c in pairs.values()):
             faults.append((last, None))
-        return _Replay(chart, scale, posted, tuple(faults), history)
+        replay = _Replay(chart, scale, posted, tuple(faults), history)
+        days = (txs[-1].date - txs[0].date).days + 1 if txs else 0
+        object.__setattr__(replay, "_stream", txs)
+        object.__setattr__(replay, "_reach", len(history) * days / (2 * len(txs) or 1))
+        return replay
 
     def stock_at(self, cutoff: dt.date) -> Ledger:
         """Balance-sheet view: everything dated on or before cutoff, reduced."""
-        return self._replay.view(self._stock_pairs(cutoff), as_of=cutoff)
+        taccounts = self._replay.taccounts(self._stock_pairs(cutoff))
+        return Ledger(self._replay.chart, dict(taccounts), cutoff)
 
     def _stock_pairs(self, cutoff: dt.date) -> dict[AccountPath, tuple[int, int]]:
         """stock_at's lookup: each leaf's reduced pair, as integers over scale."""
@@ -517,7 +566,8 @@ class Journal(_Record):
         validates it, so the grand total of a flow view is itself a
         zero representative.
         """
-        return self._replay.view(self._flow_pairs(start, end), interval=(start, end))
+        taccounts = self._replay.taccounts(self._flow_pairs(start, end))
+        return Ledger(self._replay.chart, dict(taccounts), None, (start, end))
 
     def _flow_pairs(self, start: dt.date, end: dt.date) -> dict[AccountPath, tuple[int, int]]:
         """flow_between's lookup: each leaf's raw pair, as integers over scale."""
@@ -531,17 +581,17 @@ class Journal(_Record):
         Any violation signals an engine bug, not a journal problem: the
         identity is forced by the algebra for every valid journal. The
         check runs on the three lookups' integers, which stand for the
-        same classes as the TAccounts the rows carry.
+        same classes as the kept TAccounts the rows carry, read side by
+        side: every lookup lists the leaves in the one order.
         """
-        opening = self._stock_pairs(start)
-        flow = self._flow_pairs(start, end)
-        closing = self._stock_pairs(end)
-        taccount = self._replay.taccount
-        rows = []
-        for account in closing:
-            (od, oc), (fd, fc), (cd, cc) = opening[account], flow[account], closing[account]
-            views = taccount(od, oc), taccount(fd, fc), taccount(cd, cc)
-            rows.append(ReconcileRow(account, *views, od + fd + cc == oc + fc + cd))
+        lookups = self._stock_pairs(start), self._flow_pairs(start, end), self._stock_pairs(end)
+        taccounts = [self._replay.taccounts(pairs).values() for pairs in lookups]
+        rows = [
+            ReconcileRow(account, opening, flow, closing, od + fd + cc == oc + fc + cd)
+            for account, (od, oc), (fd, fc), (cd, cc), opening, flow, closing in zip(
+                lookups[2], *(pairs.values() for pairs in lookups), *taccounts
+            )
+        ]
         return ReconciliationReport(start, end, tuple(rows))
 
     def income_report(

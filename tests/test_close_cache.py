@@ -134,7 +134,7 @@ def test_a_failing_window_raises_on_every_repeat(index):
         if isinstance(got[0], type):
             raised += 1
             # a failed lookup keeps nothing: every window kept looks up cleanly
-            for window, pairs in journal._replay._recent:
+            for window, pairs, _ in journal._replay._recent:
                 assert fresh(journal)._replay.pairs(*window) == pairs
     assert raised > 20
 
@@ -209,3 +209,24 @@ def test_four_threads_get_the_serial_results():
     assert not errors
     for got in results.values():
         assert [got[i] for i in range(len(calls))] == serial
+
+
+@pytest.mark.parametrize("index", [0, len(JOURNALS) - 1])
+def test_a_handed_out_view_is_the_callers_own(index):
+    """Assigning, deleting and clearing a view's balances changes nothing
+    that a later call on the journal returns."""
+    journal = fresh(JOURNALS[index])
+    calls = close_calls(journal)
+    want = [outcome(fresh(journal), kind, args) for kind, args in calls]
+    other = TAccount.dr(Amount(1, 7))
+    edits = [
+        lambda balances: balances.__setitem__(next(iter(balances)), other),
+        lambda balances: balances.__delitem__(next(reversed(balances))),
+        lambda balances: balances.clear(),
+    ]
+    for month, (first, last) in enumerate(CLOSE):
+        edit = edits[month % len(edits)]
+        edit(journal.stock_at(last).balances)
+        edit(journal.flow_between(first, last).balances)
+        got = [outcome(journal, kind, args) for kind, args in calls]
+        assert got == want, (first, last)

@@ -13,10 +13,18 @@ rounding --decimal half to even by integer arithmetic of its own.
 
 The views must list accounts in that same path order, the replay's own:
 the keys of stock_at and flow_between balances, and reconcile's rows.
+
+check and schedule are read against the journal text alone. check
+counts its authored headers plus every schedule line's periods; each
+period schedule prints is re-derived from its schedule line: the k-th
+anniversary of the start (Feb 29 on Feb 28 off leap years) and exactly
+total/n, the periods summing to the total.
 """
 
+import calendar
 import datetime as dt
 import io
+import re
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -332,3 +340,85 @@ def test_views_come_out_in_path_order(journal):
             rows = journal.reconcile(start, end).rows
             assert in_path_order([row.account for row in rows])
             assert len(rows) == len(leaves)
+
+
+# -- check and schedule, from the journal text ----------------------------
+
+# Feb 29 starts: period k lands on Feb 28 unless its year is a leap year.
+LEAP = (
+    "account assets:lease\naccount assets:deposit\naccount equity:capital\n"
+    "account costs\naccount fees\n"
+    "schedule assets:lease costs 1000 over 9 yearly from 2020-02-29 mode contra\n"
+    "schedule assets:deposit fees 100/3 over 7 yearly from 2024-02-29 mode direct\n\n"
+    '2020-02-29 "lease"\n    assets:lease dr 1000\n    assets:deposit dr 100/3\n'
+    "    equity:capital cr 3100/3\n"
+)
+
+
+def schedule_lines(text: str) -> list[tuple]:
+    """(source, counterpart, total, n, start, mode) per schedule line, in file order."""
+    out = []
+    for line in text.split("\n"):
+        tokens = line.split(";")[0].split()
+        if tokens[:1] == ["schedule"]:
+            total, n, start = Fraction(tokens[3]), int(tokens[5]), tokens[8]
+            out.append((tokens[1], tokens[2], total, n, dt.date.fromisoformat(start), tokens[10]))
+    return out
+
+
+def anniversary(start: dt.date, years: int) -> dt.date:
+    year = start.year + years
+    if (start.month, start.day) == (2, 29) and not calendar.isleap(year):
+        return dt.date(year, 2, 28)
+    return dt.date(year, start.month, start.day)
+
+
+def contra(source: str) -> str:
+    """The source's sibling that a contra schedule credits."""
+    return ":".join([*source.split(":")[:-1], "accumulated-depreciation"])
+
+
+SCHEDULE_CORPUS = [item for item in CORPUS if schedule_lines(item[1])] + [
+    ("hand-written", SCHEDULED, True),
+    ("leap", LEAP, True),
+]
+
+
+@pytest.mark.parametrize("name, text, strict", CORPUS + SCHEDULE_CORPUS[-2:],
+                         ids=[item[0] for item in CORPUS + SCHEDULE_CORPUS[-2:]])
+def test_check_counts_authored_and_scheduled_transactions(tmp_path, name, text, strict):
+    path = tmp_path / f"{name}.journal"
+    path.write_text(text, encoding="utf-8")
+    authored = sum(1 for line in text.split("\n") if re.match(r"\d{4}-\d\d-\d\d", line))
+    count = authored + sum(n for _, _, _, n, _, _ in schedule_lines(text))
+    code, out, err = run(["check", str(path), *([] if strict else ["--loose"])])
+    noun = "transaction" if count == 1 else "transactions"
+    assert (code, out) == (0, f"ok: {count} {noun}, root \u2261 0\n")
+    check_stderr(err, strict)
+
+
+@pytest.mark.parametrize("name, text, strict", SCHEDULE_CORPUS,
+                         ids=[item[0] for item in SCHEDULE_CORPUS])
+def test_schedule_periods_match_the_schedule_lines(tmp_path, name, text, strict):
+    """Period k of n falls on the k-th anniversary of the start and moves
+    exactly total/n, and the periods sum to the total."""
+    path = tmp_path / f"{name}.journal"
+    path.write_text(text, encoding="utf-8")
+    code, out, _ = run(["schedule", str(path), *([] if strict else ["--loose"])])
+    assert code == 0
+    blocks = out.rstrip("\n").split("\n\n")
+    for source, counterpart, total, n, start, mode in schedule_lines(text):
+        assert blocks.pop(0) == f"; schedule {source} over {n} periods ({mode})"
+        credited = source if mode == "direct" else contra(source)
+        moved = Fraction(0)
+        for k in range(1, n + 1):
+            header, debit, credit = blocks.pop(0).split("\n")
+            date = anniversary(start, k).isoformat()
+            assert header == f'{date} "matching: {source} period {k}/{n}"'
+            assert debit.startswith("    ") and credit.startswith("    ")
+            account, side, amount = debit.split()
+            assert (account, side, Fraction(amount)) == (f"{counterpart}:y{k}", "dr", total / n)
+            assert credit.split() == [credited, "cr", amount]
+            moved += Fraction(amount)
+        assert moved == total
+    assert not blocks

@@ -19,6 +19,7 @@ from journalgen import prime_journal, random_journal
 from oracles import fmt
 from tledger import Ledger, TAccount, parse_journal, serialize_journal
 from tledger.cli import main
+from tledger.ledger import _Replay
 
 NO_BASIS = "error: --percent requires a basis declaration\n"
 DAY = dt.timedelta(days=1)
@@ -182,6 +183,37 @@ class TestReportsBuildNoViews:
         report = self.constructions(monkeypatch, capsys, [command, str(fixture_path), *flags])
         assert report[Ledger] == 0
         assert report[TAccount] <= check[TAccount]
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [("check", []), ("balance", []), ("equation", []), ("flows", []),
+         ("flows", ["--from", "2020-01-02", "--to", "2021-01-04"])],  # a short window
+    )
+    def test_no_window_count_and_no_kept_taccounts(
+        self, monkeypatch, capsys, fixture_path, command, flags
+    ):
+        """A command's one lookup reads every leaf: it counts no window for
+        a base, keeps no TAccount and makes none through the replay."""
+        replays, windows, made = [], [], []
+        post_init, taccount = _Replay.__post_init__, _Replay.taccount
+
+        def recorded(self):
+            replays.append(self)
+            post_init(self)
+
+        def counted(self, *pair):
+            made.append(pair)
+            return taccount(self, *pair)
+
+        monkeypatch.setattr(_Replay, "__post_init__", recorded)
+        monkeypatch.setattr(_Replay, "taccount", counted)
+        monkeypatch.setattr(_Replay, "_window", lambda self, *dates: windows.append(dates))
+        code, out, _ = run(capsys, [command, str(fixture_path), *flags])
+        assert code == 0 and out
+        assert replays and not windows and not made
+        for replay in replays:
+            assert not replay._taccounts
+            assert all(taccounts is None for _, _, taccounts in replay._recent)
 
 
 class TestErrorOrder:
