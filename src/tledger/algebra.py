@@ -291,7 +291,7 @@ class TAccount(_Record):
 
     @classmethod
     def zero(cls) -> TAccount:
-        return cls(_ZERO_AMOUNT, _ZERO_AMOUNT)
+        return _ZERO_TACCOUNT
 
     def __add__(self, other: TAccount) -> TAccount:
         """Combine two T-accounts: debits add to debits, credits to credits."""
@@ -351,6 +351,10 @@ class TAccount(_Record):
 
     def __str__(self) -> str:
         return f"({self.debit}, {self.credit})"
+
+
+# TAccounts are immutable too, so every zero pair can be this one.
+_ZERO_TACCOUNT = TAccount(_ZERO_AMOUNT, _ZERO_AMOUNT)
 
 
 def _sum(entries) -> TAccount:

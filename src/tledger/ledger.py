@@ -29,10 +29,11 @@ only when something reads it; a parsed one so builds its span, which
 only an error reads. The replay proves itself on those integers: every
 step leaves the tree total unchanged, and the whole tree ends a zero
 representative. A view turns into TAccounts only the pairs it returns,
-each distinct pair once while a memo of a few per leaf keeps it. A kept
-lookup keeps its TAccounts, built from its base's and the moved leaves';
-reconcile reads them, and checks stock + flow ≡ stock on the lookups'
-integers (scaling by 1/D is injective, so it agrees with TAccounts).
+every zero pair as the one shared zero. A kept lookup keeps its
+TAccounts, built from its base's and the moved leaves', and only those
+are shared; reconcile reads them, and checks stock + flow ≡ stock on the
+lookups' integers (scaling by 1/D is injective, so it agrees with
+TAccounts).
 
 Journals and ledgers are immutable; every operation returns a new value,
 so derivations may run concurrently over the same journal. A replay's
@@ -50,7 +51,7 @@ from functools import cached_property
 from math import lcm
 from operator import attrgetter
 
-from .algebra import _ZERO_AMOUNT, Amount, TAccount, _Record, _signed, _sum
+from .algebra import _ZERO_AMOUNT, _ZERO_TACCOUNT, Amount, TAccount, _Record, _signed, _sum
 from .chart import AccountPath, Chart
 from .diagnostics import SourceSpan
 from .errors import (
@@ -284,7 +285,6 @@ class Ledger(_Record):
         return out
 
 
-_MEMO_PER_LEAF = 4  # a close meets about two new pairs per moved leaf a month
 _RECENT = 5  # a close's month reads its stock, its flow, then last month's stock (3 or 4 back)
 _date = attrgetter("date")
 
@@ -350,23 +350,17 @@ class _Replay(_Record):
     _fields = ("chart", "scale", "posted", "faults", "history")
     # _stream: the replayed transactions, in date order; _reach: the window in days
     # that would hold half as many of them as there are leaves, spread evenly
-    __slots__ = (*_fields, "_taccounts", "_recent", "_stream", "_reach")
+    __slots__ = (*_fields, "_recent", "_stream", "_reach")
 
     def __post_init__(self):
-        object.__setattr__(self, "_taccounts", {})  # (debit, credit) -> TAccount
         object.__setattr__(self, "_recent", ())  # [window, pairs, TAccounts or None] per lookup
 
     def taccount(self, debit: int, credit: int) -> TAccount:
-        """A pair of integers over scale as a TAccount, built once per distinct
-        pair while the bounded memo keeps it; a side below zero raises."""
-        memo = self._taccounts
-        taccount = memo.get((debit, credit))
-        if taccount is None:
-            if len(memo) >= _MEMO_PER_LEAF * len(self.history):
-                memo = {}  # replaced, not cleared: a racing reader keeps the old one
-                object.__setattr__(self, "_taccounts", memo)
-            taccount = memo[debit, credit] = TAccount(self._side(debit), self._side(credit))
-        return taccount
+        """A pair of integers over scale as a TAccount: the shared zero for
+        (0, 0), else a new one; a side below zero raises."""
+        if debit or credit:
+            return TAccount(self._side(debit), self._side(credit))
+        return _ZERO_TACCOUNT
 
     def taccounts(self, pairs: dict) -> dict[AccountPath, TAccount]:
         """The TAccounts of a lookup's pairs, in the same order. Those of a
@@ -410,7 +404,7 @@ class _Replay(_Record):
                     moved = [(leaf, history[leaf]) for leaf in leaves]
                     if base is None:
                         pairs = dict.fromkeys(history, (0, 0))
-                        held = dict.fromkeys(history, self.taccount(0, 0))
+                        held = dict.fromkeys(history, _ZERO_TACCOUNT)
                     else:
                         pairs, held = dict(base[1]), None if base[2] is None else dict(base[2])
         for leaf, (dates, sums) in moved:

@@ -1,12 +1,12 @@
-"""A journal's recent lookups and TAccount memo against fresh journals.
+"""A journal's recent lookups and their TAccounts against fresh journals.
 
 A journal's replay keeps its last few stock and flow lookups, keyed by
-their dates, and builds each distinct (debit, credit) pair's TAccount
-once while a memo bounded by the leaf count keeps it. The reference is
-a fresh Journal per call, which starts with no replay, no lookup and no
-TAccount made: every stock_at, flow_between, reconcile and income_report
-of one long-lived journal must be == to the fresh journal's, with the
-same repr, or raise the same error, whatever order the calls come in.
+their dates, with the TAccounts built for them, and every zero pair is
+the one shared zero TAccount. The reference is a fresh Journal per call,
+which starts with no replay, no lookup and no TAccount made: every
+stock_at, flow_between, reconcile and income_report of one long-lived
+journal must be == to the fresh journal's, with the same repr, or raise
+the same error, whatever order the calls come in.
 """
 
 import datetime as dt
@@ -104,9 +104,7 @@ def failing(journal: Journal) -> Journal:
 
 
 def bounded(journal: Journal) -> None:
-    replay = journal._replay
-    assert len(replay._taccounts) <= tledger.ledger._MEMO_PER_LEAF * len(replay.history)
-    assert len(replay._recent) <= tledger.ledger._RECENT
+    assert len(journal._replay._recent) <= tledger.ledger._RECENT
 
 
 @pytest.mark.parametrize("index", range(len(JOURNALS)))
@@ -140,14 +138,11 @@ def test_a_failing_window_raises_on_every_repeat(index):
 
 
 def test_the_caches_stay_bounded_over_200_views():
-    journal = fresh(JOURNALS[-1])  # amounts over primes: few repeated pairs
-    memos = set()
+    journal = fresh(JOURNALS[-1])
     calls = close_calls(journal) + shuffled_calls(journal, random.Random(5), 200)
     for kind, args in calls[:200]:
         outcome(journal, kind, args)
         bounded(journal)
-        memos.add(id(journal._replay._taccounts))
-    assert len(memos) > 1  # the memo filled and started afresh
 
 
 def test_a_close_makes_two_lookups_a_month_and_builds_a_pair_once(monkeypatch):
@@ -161,18 +156,13 @@ def test_a_close_makes_two_lookups_a_month_and_builds_a_pair_once(monkeypatch):
         return real(self, after, through)
 
     monkeypatch.setattr(tledger.ledger._Replay, "raise_first", counted)
-    shared = 0
     for first, last in CLOSE:
-        memo = replay._taccounts
         stock = journal.stock_at(last)
         journal.flow_between(first, last)
         report = journal.reconcile(first, last)
         closing = [row.closing for row in report.rows]
         assert closing == list(stock.balances.values())
-        if replay._taccounts is memo:  # the memo did not start afresh: the same TAccounts
-            assert all(map(operator.is_, closing, stock.balances.values()))
-            shared += 1
-    assert shared >= len(CLOSE) // 2
+        assert all(map(operator.is_, closing, stock.balances.values()))
     # every month's opening stock is the month before's closing one
     assert len(lookups) == 2 * len(CLOSE) + 1
     assert len(replay._recent) == tledger.ledger._RECENT

@@ -400,6 +400,28 @@ class TestReplayTAccount:
             self.taccount(debit, credit, scale)
         assert str(raised.value) == str(checked.value)
 
+    def test_the_zero_pair_is_the_one_shared_zero(self):
+        assert TAccount.zero() is TAccount.zero()
+        for scale in (1, 7, int("9" * 4000)):
+            assert self.taccount(0, 0, scale) is TAccount.zero()
+
+    @pytest.mark.parametrize(
+        "start, end",
+        [(D(2019, 12, 30), D(2019, 12, 31)), (D(2019, 11, 1), D(2019, 12, 31)),
+         (D(2020, 1, 2), D(2020, 1, 2)), (D(2020, 1, 4), D(2020, 3, 1))],
+    )
+    @pytest.mark.parametrize("after_a_stock", [False, True])
+    def test_a_flow_with_no_postings_is_all_the_shared_zero(
+        self, scenario_journal, start, end, after_a_stock
+    ):
+        """Whether the flow is its replay's first lookup, read leaf by leaf,
+        or built on all-zero pairs after a stock has been kept."""
+        journal = Journal(scenario_journal.chart, scenario_journal.transactions)
+        if after_a_stock:
+            journal.stock_at(D(2020, 1, 3))
+        balances = journal.flow_between(start, end).balances
+        assert balances and all(v is TAccount.zero() for v in balances.values())
+
 
 class TestStockAt:
     def test_opening_decomposition(self, scenario_journal):

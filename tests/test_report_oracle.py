@@ -1,15 +1,18 @@
 """The printed reports, and the views' account order, against an oracle.
 
 balance, equation and flows run through cli.main on seeded generated
-journals: plain, restyled, with shuffled account lines, loose-mode with
-no declarations, and with prime denominators, and on a small journal of
-exact rounding ties. Every stdout line is
-rebuilt here from one signed Fraction per account, summed straight off
-the expanded postings as tests/oracles.py sums them. The oracle knows
-nothing of the replay's integers or views: subtree sums add every leaf
-under a node, path order is a sort on the colon-split names, and
-oracles.fmt prints every number, a percentage of the basis under --percent,
-rounding --decimal half to even by integer arithmetic of its own.
+journals: plain, restyled, with shuffled account lines, with prime
+denominators, and under --loose with every account, about half of them
+or none declared; and on a small journal of exact rounding ties. Every
+stdout line is rebuilt here from one signed Fraction per account, summed
+straight off the expanded postings as tests/oracles.py sums them. The
+oracle knows nothing of the replay's integers or views: subtree sums add
+every leaf under a node, path order is a sort on the colon-split names,
+and oracles.fmt prints every number, a percentage of the basis under
+--percent, rounding --decimal half to even by integer arithmetic of its
+own. stderr is read from the text too: nothing on a strict run, and
+under --loose one warning for each account named on a posting or
+schedule line and on no account line.
 
 The views must list accounts in that same path order, the replay's own:
 the keys of stock_at and flow_between balances, and reconcile's rows.
@@ -58,6 +61,13 @@ def undeclared(text: str) -> str:
     return "\n".join(line for line in text.split("\n") if not line.startswith("account "))
 
 
+def half_declared(text: str) -> str:
+    """A loose-mode twin that keeps every second account line."""
+    lines = text.split("\n")
+    dropped = [i for i, line in enumerate(lines) if line.startswith("account ")][::2]
+    return "\n".join(line for i, line in enumerate(lines) if i not in dropped)
+
+
 def generated(seed: int, scheduled: bool) -> str:
     rng = random.Random(seed)
     while True:
@@ -88,6 +98,8 @@ def corpus() -> list[tuple[str, str, bool]]:
         ("shuffled", shuffled_accounts(plain, rng), True),
         ("shuffled-scheduled", shuffled_accounts(scheduled, rng), True),
         ("loose", undeclared(plain), False),
+        ("loose-declared", scheduled, False),
+        ("loose-half", half_declared(scheduled), False),
         ("prime-basis", "basis 1000003/7\n" + prime, True),
         ("ties", TIES, True),
     ]
@@ -221,11 +233,30 @@ def flags(places, percent, show_zero) -> list[str]:
     return out + ["--percent"] * percent + ["--show-zero"] * show_zero
 
 
-def check_stderr(err: str, strict: bool):
-    if strict:
-        assert err == ""
-    else:
-        assert all(": warning: implicitly declared account " in line for line in err.splitlines())
+def implicit_accounts(text: str) -> list[str]:
+    """The accounts a --loose run declares on use: those named on a schedule
+    or posting line and on no account line, sorted."""
+    declared, used = set(), set()
+    for line in text.split("\n"):
+        tokens = line.split(";")[0].split()
+        if tokens[:1] == ["account"]:
+            declared.add(tokens[1])
+        elif tokens[:1] == ["schedule"]:
+            used.update(tokens[1:3])
+        elif tokens and line[0].isspace():
+            used.add(tokens[0])
+    return sorted(used - declared)
+
+
+WARNING = re.compile(r".+:\d+:\d+: warning: implicitly declared account (\S+)")
+
+
+def check_stderr(err: str, text: str, strict: bool):
+    """A strict run writes nothing to stderr; a loose one one warning for each
+    account it declares on use, and nothing else."""
+    warned = [WARNING.fullmatch(line) for line in err.splitlines()]
+    assert all(warned), err
+    assert sorted(m[1] for m in warned) == ([] if strict else implicit_accounts(text))
 
 
 @pytest.fixture(params=CORPUS, ids=lambda item: item[0])
@@ -234,11 +265,11 @@ def journal(request, tmp_path):
     path = tmp_path / f"{name}.journal"
     path.write_text(text, encoding="utf-8")
     mode = [] if strict else ["--loose"]
-    return [str(path), *mode], Oracle(text, strict), strict
+    return [str(path), *mode], Oracle(text, strict), text, strict
 
 
 def test_balance_and_equation_match_the_oracle(journal):
-    argv, oracle, strict = journal
+    argv, oracle, text, strict = journal
     for at in [None, *probe_dates(oracle)]:
         at_flags = [] if at is None else ["--at", at.isoformat()]
         for places, percent, show_zero in RENDERINGS:
@@ -247,14 +278,14 @@ def test_balance_and_equation_match_the_oracle(journal):
             render = flags(places, percent, show_zero)
             code, out, err = run(["balance", *argv, *render, *at_flags])
             assert (code, out) == (0, oracle.balance(at, percent, places, show_zero)), (render, at)
-            check_stderr(err, strict)
+            check_stderr(err, text, strict)
             code, out, err = run(["equation", *argv, *render, *at_flags])
             assert (code, out) == (0, oracle.equation(at, percent, places)), (render, at)
-            check_stderr(err, strict)
+            check_stderr(err, text, strict)
 
 
 def test_flows_match_the_oracle(journal):
-    argv, oracle, strict = journal
+    argv, oracle, text, strict = journal
     dates = probe_dates(oracle)
     intervals = [(None, None), (dates[1], None), (None, dates[-2])]
     intervals += [(start, end) for start in dates[::2] for end in dates[1::3]]
@@ -270,7 +301,7 @@ def test_flows_match_the_oracle(journal):
             if want_err:
                 assert err.endswith(want_err)
             else:
-                check_stderr(err, strict)
+                check_stderr(err, text, strict)
 
 
 @pytest.mark.parametrize(
@@ -291,6 +322,14 @@ def test_flows_match_the_oracle(journal):
 )
 def test_the_oracle_rounds_half_to_even(value, places, want):
     assert half_even(value, places) == want
+
+
+def test_the_loose_runs_declare_all_about_half_and_none():
+    texts = {name: text for name, text, _ in CORPUS}
+    assert implicit_accounts(texts["loose-declared"]) == []
+    assert implicit_accounts(texts["loose"])
+    half = implicit_accounts(half_declared(texts["scheduled"]))
+    assert 0 < len(half) < len(implicit_accounts(undeclared(texts["scheduled"])))
 
 
 # -- the views' order -------------------------------------------------
@@ -394,7 +433,7 @@ def test_check_counts_authored_and_scheduled_transactions(tmp_path, name, text, 
     code, out, err = run(["check", str(path), *([] if strict else ["--loose"])])
     noun = "transaction" if count == 1 else "transactions"
     assert (code, out) == (0, f"ok: {count} {noun}, root \u2261 0\n")
-    check_stderr(err, strict)
+    check_stderr(err, text, strict)
 
 
 @pytest.mark.parametrize("name, text, strict", SCHEDULE_CORPUS,

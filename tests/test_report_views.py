@@ -212,7 +212,6 @@ class TestReportsBuildNoViews:
         assert code == 0 and out
         assert replays and not windows and not made
         for replay in replays:
-            assert not replay._taccounts
             assert all(taccounts is None for _, _, taccounts in replay._recent)
 
 
