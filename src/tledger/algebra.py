@@ -319,9 +319,11 @@ class TAccount(_Record):
         if self.is_canonical:
             return self
         balance = self.balance()
-        if balance >= 0:
+        if balance > 0:
             return TAccount(Amount._wrap(balance), _ZERO_AMOUNT)
-        return TAccount(_ZERO_AMOUNT, Amount._wrap(-balance))
+        if balance < 0:
+            return TAccount(_ZERO_AMOUNT, Amount._wrap(-balance))
+        return _ZERO_TACCOUNT
 
     def balance(self) -> Fraction:
         """The signed value of the class: debit minus credit.
@@ -360,10 +362,11 @@ _ZERO_TACCOUNT = TAccount(_ZERO_AMOUNT, _ZERO_AMOUNT)
 def _sum(entries) -> TAccount:
     """The componentwise sum of T-accounts, in one pass over a common denominator.
 
-    lcm() is 1, so an empty sum is the zero pair.
+    lcm() is 1, so an empty sum is the zero pair; a zero side is the shared zero.
     """
     sides = [(t.debit._value, t.credit._value) for t in entries]
     scale = lcm(*(side.denominator for pair in sides for side in pair))
     debit = sum(d.numerator * (scale // d.denominator) for d, _ in sides)
     credit = sum(c.numerator * (scale // c.denominator) for _, c in sides)
-    return TAccount(Amount._wrap(Fraction(debit, scale)), Amount._wrap(Fraction(credit, scale)))
+    amounts = (Amount._wrap(Fraction(n, scale)) if n else _ZERO_AMOUNT for n in (debit, credit))
+    return TAccount(*amounts) if debit or credit else _ZERO_TACCOUNT

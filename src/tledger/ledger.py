@@ -9,31 +9,28 @@ is itself a zero pair, a stock at one date plus the flow since then
 reconciles exactly with the stock at any later date.
 
 A journal replays its transactions once, on its first view, and keeps
-each leaf's cumulative pair at every date it moved on. Every view then
-reads that record: a stock is a lookup at the cutoff, a flow the
-difference of two lookups, as the identity above allows. The replay
-keeps its last few lookups, so a month-end close's reconcile reuses the
-stock and flow just read, and last month's stock. The identity also
-cuts each new lookup short: a stock builds on the nearest kept stock, a
-flow on zero, and only the leaves with a posting between the two dates
-are looked up again, the rest copied. A window with at least half as
-many transactions as there are leaves, so about as many postings, is
-read leaf by leaf instead: an even spread guesses it, two bisects count.
+only each leaf's final pair and the posted steps in date order: the
+stream is the only record. By the identity above, a view is a base plus or
+minus the fewest posted steps' values. A stock builds on the all-zero
+pairs, the final pairs or one of the last few lookups, which are kept; a
+flow on zero plus its own steps, or on the final pairs less the others.
+Only the leaves those steps post to are recomputed, but every leaf of a
+stock on the final pairs, which are raw. A stock built forward on a kept
+one keeps its sum as the flow between the two, so a month-end close sums
+each month's steps once.
 
 The replay runs on exact integers. The group laws hold for any common
 scaling of both sides, so with D the least common multiple of every
 posting amount's denominator, each amount n/d is the integer n·(D/d)
-and a cumulative pair is two integers over D. A posting keeps its
-literal's reduced n and d, which the replay scales, and builds its entry
-only when something reads it; a parsed one so builds its span, which
-only an error reads. The replay proves itself on those integers: every
-step leaves the tree total unchanged, and the whole tree ends a zero
-representative. A view turns into TAccounts only the pairs it returns,
-every zero pair as the one shared zero. A kept lookup keeps its
-TAccounts, built from its base's and the moved leaves', and only those
-are shared; reconcile reads them, and checks stock + flow ≡ stock on the
-lookups' integers (scaling by 1/D is injective, so it agrees with
-TAccounts).
+and a pair is two integers over D. A posting keeps its literal's
+reduced n and d, which the replay scales, and builds its entry only when
+something reads it; a parsed one so builds its span, which only an error
+reads. The replay proves itself on those integers: every step leaves the
+tree total unchanged, and the whole tree ends a zero representative. A
+view turns into TAccounts only the pairs it returns, every zero pair as
+the one shared zero. A kept lookup keeps its TAccounts; reconcile reads
+them, and checks stock + flow ≡ stock on the lookups' integers (scaling
+by 1/D is injective, so it agrees with TAccounts).
 
 Journals and ledgers are immutable; every operation returns a new value,
 so derivations may run concurrently over the same journal. A replay's
@@ -45,11 +42,11 @@ from __future__ import annotations
 import copy
 import datetime as dt
 from bisect import bisect_right
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .algebra import _ZERO_AMOUNT, _ZERO_TACCOUNT, Amount, TAccount, _Record, _signed, _sum
 from .chart import AccountPath, Chart
@@ -285,28 +282,24 @@ class Ledger(_Record):
         return out
 
 
-_RECENT = 5  # a close's month reads its stock, its flow, then last month's stock (3 or 4 back)
+_RECENT = 5  # a close's month reads its stock, its flow, then last month's stock (2 or 3 back)
 _date = attrgetter("date")
 
-def _scaled_stream(txs) -> tuple[int, Iterator]:
-    """The scale D, and each transaction with its postings' values over D.
+def _scaled_stream(txs) -> tuple[int, Callable]:
+    """The scale D, and the function that gives a transaction's values over D.
 
-    D is the lcm of every posting side's reduced denominator, and a
-    value is an (account, debit, credit) triple of integers n·(D/d).
-    Values are made one transaction at a time, as the replay reaches it.
+    D is the lcm of every posting side's reduced denominator, and a value
+    is an (account, debit, credit) triple of integers n·(D/d).
     """
     denominators = {den for tx in txs for p in tx.postings for den in p._ints[1::2]}
     scale = lcm(*denominators)
     up = {den: scale // den for den in denominators}
 
     def values(tx: Transaction) -> list[tuple[AccountPath, int, int]]:
-        out = []
-        for p in tx.postings:
-            debit_num, debit_den, credit_num, credit_den = p._ints
-            out.append((p.account, debit_num * up[debit_den], credit_num * up[credit_den]))
-        return out
+        return [(p.account, debit_num * up[debit_den], credit_num * up[credit_den])
+                for p in tx.postings for debit_num, debit_den, credit_num, credit_den in (p._ints,)]
 
-    return scale, ((tx, values(tx)) for tx in txs)
+    return scale, values
 
 
 def _replay_step(chart: Chart, pairs: dict, tx: Transaction, values: list) -> tuple[int, int]:
@@ -337,20 +330,17 @@ def _replay_step(chart: Chart, pairs: dict, tx: Transaction, values: list) -> tu
 class _Replay(_Record):
     """One pass of the replay step over a journal's expanded stream.
 
-    Sides are integers over scale. history maps each leaf, in path order
-    (Chart.leaves()), to the dates of the posted steps that moved it, in
-    stream order, and to its cumulative pair after each of them; every
-    view's pairs keep that order. faults lists, in stream order,
-    every step that raised (with its error) and every posted step that
-    failed the zero-change check (with None); then, if the final tree is
-    not a zero representative, the last posted step (with None). Views
-    build TAccounts only for the pairs they return.
+    Sides are integers over scale. final maps each leaf, in path order
+    (Chart.leaves()), to its raw pair after the last step; every view's
+    pairs keep that order. faults lists, in stream order, every step
+    that raised (with its error) and every posted step that failed the
+    zero-change check (with None); then, if the final tree is not a zero
+    representative, the last posted step (with None).
     """
 
-    _fields = ("chart", "scale", "posted", "faults", "history")
-    # _stream: the replayed transactions, in date order; _reach: the window in days
-    # that would hold half as many of them as there are leaves, spread evenly
-    __slots__ = (*_fields, "_recent", "_stream", "_reach")
+    _fields = ("chart", "scale", "posted", "faults", "final")
+    # _steps: the posted transactions, in date order; _values: a step's scaled values
+    __slots__ = (*_fields, "_recent", "_steps", "_values")
 
     def __post_init__(self):
         object.__setattr__(self, "_recent", ())  # [window, pairs, TAccounts or None] per lookup
@@ -380,9 +370,7 @@ class _Replay(_Record):
         after None means from the first transaction, and reduced pairs: a
         stock; otherwise raw pairs: a flow. The last _RECENT results are
         kept, shared (no caller may change them) and replaced whole, so a
-        race can only repeat a lookup. A failed one keeps nothing. Once
-        one is kept, a lookup recomputes only the leaves its base's window
-        moved (see the module docstring), and keeps TAccounts if its base has.
+        race can only repeat a lookup; a failed one keeps nothing.
         """
         window = after, through
         recent = self._recent
@@ -390,42 +378,56 @@ class _Replay(_Record):
             if entry[0] == window:
                 return entry[1]
         self.raise_first(after, through)
-        history = self.history
-        pairs, held, moved = {}, None, history.items()  # read whole unless a base is near
-        if recent:  # one lookup alone pays for no window
-            base, since = None, after  # a flow builds on all-zero pairs
-            for entry in recent if after is None else ():  # a stock on the nearest kept one
-                if entry[0][0] is None and (base is None or abs(through - entry[0][1]) < gap):
-                    base, since, gap = entry, entry[0][1], abs(through - entry[0][1])
-            if since and abs(through - since).days < self._reach:  # guessed, then counted
-                found = self._window(since, through)
-                if 2 * (found.stop - found.start) < len(history):  # 2+ postings each
-                    leaves = {p.account for tx in self._stream[found] for p in tx.postings}
-                    moved = [(leaf, history[leaf]) for leaf in leaves]
-                    if base is None:
-                        pairs = dict.fromkeys(history, (0, 0))
-                        held = dict.fromkeys(history, _ZERO_TACCOUNT)
-                    else:
-                        pairs, held = dict(base[1]), None if base[2] is None else dict(base[2])
-        for leaf, (dates, sums) in moved:
-            j = bisect_right(dates, through)
-            debit, credit = sums[j - 1] if j else (0, 0)
-            if after is None:
+        steps, final = self._steps, self.final
+        n, j = len(steps), bisect_right(steps, through, key=_date)
+        i = 0 if after is None else bisect_right(steps, after, key=_date)
+        zeros = dict.fromkeys(final, _ZERO_TACCOUNT) if recent else None
+        zero, width = (None, dict.fromkeys(final, (0, 0)), zeros), len(final) if recent else 0
+        # (cost, base, spans to sum, forward); after the first, a lookup keeps TAccounts,
+        # which its base gives it, else it costs every leaf's
+        kept = [(bisect_right(steps, e[0][1], key=_date), e) for e in reversed(recent)
+                if after is None and e[0][0] is None]  # kept stocks, the latest first
+        bases = [(abs(j - q) + width * (e[2] is None), e, (slice(min(q, j), max(q, j)),), q <= j)
+                 for q, e in kept]
+        bases.append((j - i, zero, (slice(i, j),), True))
+        bases.append((n - j + i + width, (None, final, None), (slice(i), slice(j, n)), False))
+        _, base, spans, forward = min(bases, key=itemgetter(0))  # the first on a tie
+        summed = self._summed(*spans)
+        out = [[window, *self._built(base, summed, forward, after is None)]]
+        if base[0] and base[0][1] < through:  # the steps just summed: the flow since base
+            out.insert(0, [(base[0][1], through), *self._built(zero, summed, True, False)])
+        object.__setattr__(self, "_recent", (*recent[len(out) - _RECENT:], *out))
+        return out[-1][1]
+
+    def _summed(self, *spans: slice) -> dict[AccountPath, list[int]]:
+        """Each leaf that the posted steps in spans post to, with the
+        summed debits and credits of their values."""
+        sums, values = {}, self._values
+        for span in spans:
+            for tx in self._steps[span]:
+                for leaf, debit, credit in values(tx):
+                    pair = sums.setdefault(leaf, [0, 0])
+                    pair[0] += debit
+                    pair[1] += credit
+        return sums
+
+    def _built(self, base, summed: dict, forward: bool, stock: bool) -> list:
+        """[pairs, TAccounts or None]: a copy of base's, with the summed
+        values added (taken away if not forward), reduced for a stock.
+        Only the summed leaves are recomputed, but every leaf of the
+        final pairs for a stock, for they are raw."""
+        pairs, held = dict(base[1]), None if base[2] is None else dict(base[2])
+        for leaf in pairs if stock and base[1] is self.final else summed:
+            debit, credit = pairs[leaf]
+            d, c = summed.get(leaf, (0, 0))
+            debit, credit = (debit + d, credit + c) if forward else (debit - d, credit - c)
+            if stock:
                 common = min(debit, credit)
                 debit, credit = debit - common, credit - common
-            elif i := bisect_right(dates, after):
-                debit, credit = debit - sums[i - 1][0], credit - sums[i - 1][1]
-            pairs[leaf] = (debit, credit)
+            pairs[leaf] = debit, credit
             if held is not None:
                 held[leaf] = self.taccount(debit, credit)
-        object.__setattr__(self, "_recent", (*recent[1 - _RECENT:], [window, pairs, held]))
-        return pairs
-
-    def _window(self, a: dt.date, b: dt.date) -> slice:
-        """The stream's transactions dated between a and b, either way
-        round: two bisects, for _stream is in date order."""
-        i, j = bisect_right(self._stream, a, key=_date), bisect_right(self._stream, b, key=_date)
-        return slice(i, j) if i < j else slice(j, i)
+        return [pairs, held]
 
     def _side(self, n: int) -> Amount:
         if n > 0:
@@ -505,41 +507,36 @@ class Journal(_Record):
         Every check compares the scaled values exactly.
         """
         chart, txs = self.expand()
-        scale, stream = _scaled_stream(txs)
+        scale, values = _scaled_stream(txs)
         pairs = {leaf: (0, 0) for leaf in chart.leaves()}
-        history = {leaf: ([], []) for leaf in pairs}
         faults: list[tuple[Transaction, LedgerError | None]] = []
-        posted, last, drifted = 0, None, False
-        for tx, values in stream:
-            touched = {a for a, _, _ in values}
+        drifted = False
+        for tx in txs:
+            step = values(tx)
+            touched = {a for a, _, _ in step}
             before = [pairs.get(a, (0, 0)) for a in touched]
             try:
-                debit, credit = _replay_step(chart, pairs, tx, values)
+                debit, credit = _replay_step(chart, pairs, tx, step)
             except LedgerError as err:
                 faults.append((tx, err.with_traceback(None)))
                 continue
-            posted += 1
-            last = tx
             moved_debit = moved_credit = 0
             for d, c in before:
                 moved_debit -= d
                 moved_credit -= c
             for a in touched:
-                pair = pairs[a]
-                dates, sums = history[a]
-                dates.append(tx.date)
-                sums.append(pair)
-                moved_debit += pair[0]
-                moved_credit += pair[1]
+                moved_debit += pairs[a][0]
+                moved_credit += pairs[a][1]
             if debit != credit or (moved_debit, moved_credit) != (debit, credit):
                 faults.append((tx, None))
                 drifted = True
-        if last is not None and not drifted and sum(d - c for d, c in pairs.values()):
-            faults.append((last, None))
-        replay = _Replay(chart, scale, posted, tuple(faults), history)
-        days = (txs[-1].date - txs[0].date).days + 1 if txs else 0
-        object.__setattr__(replay, "_stream", txs)
-        object.__setattr__(replay, "_reach", len(history) * days / (2 * len(txs) or 1))
+        failed = {id(tx) for tx, err in faults if err is not None}
+        steps = tuple(tx for tx in txs if id(tx) not in failed) if failed else txs
+        if steps and not drifted and sum(d - c for d, c in pairs.values()):
+            faults.append((steps[-1], None))
+        replay = _Replay(chart, scale, len(steps), tuple(faults), pairs)
+        object.__setattr__(replay, "_steps", steps)
+        object.__setattr__(replay, "_values", values)
         return replay
 
     def stock_at(self, cutoff: dt.date) -> Ledger:

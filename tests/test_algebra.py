@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tledger import Amount, TAccount
-from tledger.algebra import _ZERO_AMOUNT, _decimal, _rational, _signed
+from tledger.algebra import _ZERO_AMOUNT, _decimal, _rational, _signed, _sum
 
 
 def cross_sum_equal(a: TAccount, b: TAccount) -> bool:
@@ -109,6 +109,12 @@ class TestAmount:
         assert zero.debit is _ZERO_AMOUNT and zero.credit is _ZERO_AMOUNT
         assert _ZERO_AMOUNT == Amount(0)
         assert (_ZERO_AMOUNT.numerator, _ZERO_AMOUNT.denominator) == (0, 1)
+
+    def test_reduced_and_summed_zeros_are_the_shared_zero(self):
+        assert TAccount(Amount(5), Amount(5)).reduce() is TAccount.zero()
+        assert _sum([]) is TAccount.zero()
+        assert _sum([TAccount.dr(Amount(1, 3)), TAccount.zero()]).credit is _ZERO_AMOUNT
+        assert _sum([TAccount.cr(Amount(2)), TAccount.cr(Amount(1))]).debit is _ZERO_AMOUNT
 
     @pytest.mark.parametrize("bad", ["", "-1", "1.2.3", "1/2/3", "2e5", "1,000", ".5", "5."])
     def test_parse_rejects(self, bad):

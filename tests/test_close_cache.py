@@ -163,8 +163,10 @@ def test_a_close_makes_two_lookups_a_month_and_builds_a_pair_once(monkeypatch):
         closing = [row.closing for row in report.rows]
         assert closing == list(stock.balances.values())
         assert all(map(operator.is_, closing, stock.balances.values()))
-    # every month's opening stock is the month before's closing one
-    assert len(lookups) == 2 * len(CLOSE) + 1
+    # The first month looks up its stock, its flow and its opening stock.
+    # Every later month looks up only its stock: the stock keeps the flow
+    # it summed since the month before's, which is the opening stock.
+    assert len(lookups) == len(CLOSE) + 2
     assert len(replay._recent) == tledger.ledger._RECENT
 
 

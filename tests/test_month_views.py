@@ -1,20 +1,24 @@
-"""Month views built on the last lookup, against the full scan they replace.
+"""Month views summed from posted steps, against the history scan they replace.
 
-Once a replay has answered one lookup, a stock builds on the nearest
-kept stock and a flow on all-zero pairs: unless the window is busy, only
-the leaves with a posting between the two dates are looked up again, and
-a kept lookup keeps its TAccounts, which reconcile reads. The reference here is the path before
-that: a full scan of every leaf's history per lookup, and one TAccount
-built per leaf per view. Every stock_at, flow_between, reconcile and
-income_report of one long-lived journal must be == to the reference's,
-with the same repr, or raise the same error, message and span, in
-whatever order the calls come.
+A lookup is a base plus or minus the fewest posted steps' values: a
+stock builds on the all-zero pairs, the final pairs or a kept stock, a
+flow on zero plus its own steps or on the final pairs less the others,
+and a kept lookup keeps its TAccounts, which reconcile reads. The
+reference here is the path before that, kept here: a replay that records
+every leaf's cumulative pair after each posted step that moved it, a
+full scan of that history per lookup, and one TAccount built per leaf
+per view. Every stock_at, flow_between, reconcile and income_report of
+one long-lived journal must be == to the reference's, with the same
+repr, or raise the same error, message and span, in whatever order the
+calls come.
 """
 
 import copy
 import datetime as dt
 import random
 from bisect import bisect_right
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -36,13 +40,37 @@ from tledger import (
     UnknownAccountError,
     parse_journal,
 )
+from tledger.ledger import _replay_step, _scaled_stream
 
 DAY = dt.timedelta(days=1)
 MONTH_ENDS = [dt.date(2020, month, 1) - DAY for month in range(1, 13)] + [dt.date(2020, 12, 31)]
 CLOSE = list(zip(MONTH_ENDS, MONTH_ENDS[1:]))
 
 
-# -- the reference: a full scan per lookup, a TAccount per leaf ----------
+# -- the reference: a history replay, a full scan per lookup, a TAccount per leaf
+
+
+def reference_replay(journal: Journal) -> SimpleNamespace:
+    """The journal replayed step by step, keeping each leaf's dates and
+    cumulative pairs after every posted step that moved it, and every
+    step that raised, with its error."""
+    chart, txs = journal.expand()
+    scale, values_of = _scaled_stream(txs)
+    pairs = {leaf: (0, 0) for leaf in chart.leaves()}
+    history = {leaf: ([], []) for leaf in pairs}
+    faults = []
+    for tx in txs:
+        values = values_of(tx)
+        try:
+            _replay_step(chart, pairs, tx, values)
+        except LedgerError as err:
+            faults.append((tx, err))
+            continue
+        for a in {a for a, _, _ in values}:
+            dates, sums = history[a]
+            dates.append(tx.date)
+            sums.append(pairs[a])
+    return SimpleNamespace(chart=chart, scale=scale, faults=faults, history=history)
 
 
 def reference_pairs(replay, after, through) -> dict:
@@ -215,12 +243,17 @@ JOURNALS = journals()
 @pytest.mark.parametrize("name, journal", JOURNALS, ids=[name for name, _ in JOURNALS])
 @pytest.mark.parametrize("order", ["close", "reverse", "shuffled"])
 def test_views_match_the_full_scan(monkeypatch, name, journal, order):
-    window = tledger.ledger._Replay._window
-    counted = []
-    monkeypatch.setattr(tledger.ledger._Replay, "_window",
-                        lambda self, *dates: counted.append(dates) or window(self, *dates))
+    built = tledger.ledger._Replay._built
+    backward = []
+
+    def counted(self, base, summed, forward, stock):
+        if stock and not forward and base[0] is not None:  # back from a later kept stock
+            backward.append(base)
+        return built(self, base, summed, forward, stock)
+
+    monkeypatch.setattr(tledger.ledger._Replay, "_built", counted)
     journal = fresh(journal)
-    replay = fresh(journal)._replay  # read only through the reference
+    replay = reference_replay(fresh(journal))
     calls = close_calls(journal)
     if order == "reverse":
         calls.reverse()
@@ -229,29 +262,36 @@ def test_views_match_the_full_scan(monkeypatch, name, journal, order):
     for kind, args in calls:
         got = outcome(lambda: getattr(journal, kind)(*args))
         assert got == outcome(lambda: reference(replay, kind, args)), (kind, args)
-    # short windows, which the shuffled calls all have, are counted to build on
-    assert counted or order != "shuffled"
+    # calls in no order build some stocks back from a later kept one
+    assert backward or order != "shuffled"
 
 
-# -- what a lookup recomputes ---------------------------------------------
+# -- which posted steps a lookup sums ---------------------------------------
 
 
-def recomputed(monkeypatch, journal: Journal, calls):
-    """Each call with the set of leaves it looked up again."""
+def summed(monkeypatch, journal: Journal, calls):
+    """Each call with the posted steps it summed and the leaves it
+    recomputed, both counted with repeats."""
     replay = journal._replay
-    leaf_of = {id(dates): leaf for leaf, (dates, _) in replay.history.items()}
-    seen = []
+    steps, leaves = Counter(), Counter()
+    real_summed, real_built = type(replay)._summed, type(replay)._built
 
-    def counted(a, x, *rest, **key):
-        if id(a) in leaf_of:
-            seen.append(leaf_of[id(a)])
-        return bisect_right(a, x, *rest, **key)
+    def counted_summed(self, *spans):
+        steps.update(id(tx) for span in spans for tx in self._steps[span])
+        return real_summed(self, *spans)
 
-    monkeypatch.setattr(tledger.ledger, "bisect_right", counted)
+    def counted_built(self, base, *rest):
+        pairs, held = real_built(self, base, *rest)
+        leaves.update(leaf for leaf, pair in pairs.items() if pair is not base[1][leaf])
+        return [pairs, held]
+
+    monkeypatch.setattr(type(replay), "_summed", counted_summed)
+    monkeypatch.setattr(type(replay), "_built", counted_built)
     for kind, args in calls:
-        seen.clear()
+        steps.clear()
+        leaves.clear()
         getattr(journal, kind)(*args)
-        yield kind, args, set(seen)
+        yield kind, args, +steps, +leaves
 
 
 def month_calls() -> list[tuple[str, tuple]]:
@@ -260,50 +300,30 @@ def month_calls() -> list[tuple[str, tuple]]:
             for kind, size in [("stock_at", 1), ("flow_between", 2), ("reconcile", 2)]]
 
 
-def posted_in(journal: Journal, after: dt.date, through: dt.date) -> set:
-    return {p.account for tx in journal.expand()[1] if after < tx.date <= through
-            for p in tx.postings}
+def posted_in(journal: Journal, after: dt.date, through: dt.date) -> list:
+    return [tx for tx in journal.expand()[1] if after < tx.date <= through]
 
 
-def test_a_wide_close_recomputes_only_what_moved(monkeypatch):
-    journal = wide_journal(random.Random(7), accounts=240, transactions=60)
-    leaves = set(journal._replay.history)
-    assert len(leaves) > 100
-    recomputes = list(recomputed(monkeypatch, journal, month_calls()))
-    assert recomputes[0][2] == leaves  # the first lookup reads every leaf
+@pytest.mark.parametrize("shape", ["wide", "long"])
+def test_a_close_sums_each_months_posted_steps_once(monkeypatch, shape):
+    """After the first month, whose stock and flow are both first reads,
+    a month's stock, flow and reconcile together sum exactly that month's
+    posted steps, once: a stock built forward on last month's keeps the
+    flow it summed. On a wide chart they recompute only the leaves those
+    steps post to."""
+    if shape == "wide":
+        journal = wide_journal(random.Random(7), accounts=240, transactions=60)
+    else:  # each month has more transactions than the chart has leaves
+        journal = wide_journal(random.Random(8), accounts=12, transactions=200, busy=3)
+    calls = list(summed(monkeypatch, journal, month_calls()))
     for month, (first, last) in enumerate(CLOSE):
-        for kind, _, leaves_read in recomputes[3 * month + (month == 0) : 3 * month + 3]:
-            if kind == "reconcile":  # its opening stock is last month's, or built from it
-                want = posted_in(journal, first, last) if month == 0 else set()
-            else:
-                want = posted_in(journal, first, last)
-            assert leaves_read == want, (first, kind)
-            assert len(leaves_read) < len(leaves) // 4
-
-
-def test_a_long_close_reads_every_leaf(monkeypatch):
-    """Each month holds more than half as many transactions as there are
-    leaves, though on three leaves only: every lookup reads every leaf."""
-    journal = wide_journal(random.Random(8), accounts=12, transactions=200, busy=3)
-    leaves = set(journal._replay.history)
-    assert len(leaves) > 5
-    recomputes = list(recomputed(monkeypatch, journal, month_calls()))
-    for kind, args, leaves_read in recomputes:
-        if kind != "reconcile" or args[0] == MONTH_ENDS[0]:
-            assert leaves_read == leaves, (args, kind)
-
-
-def test_a_burst_is_counted_and_read_whole(monkeypatch):
-    """A week holding most of the transactions looks quiet to the guess
-    from an even spread; the count finds it busy, and it is read whole."""
-    rng = random.Random(9)
-    chart, leaves = random_chart(rng, 12)
-    days = [0, 365] + [152 + rng.randint(0, 6) for _ in range(60)]
-    txs = [random_transaction(rng, leaves[:3], dt.date(2020, 1, 1) + d * DAY, i)
-           for i, d in enumerate(days)]
-    journal = Journal(chart, tuple(txs))
-    week = dt.date(2020, 5, 31), dt.date(2020, 6, 7)
-    assert (week[1] - week[0]).days < journal._replay._reach
-    calls = [("stock_at", (week[0],)), ("stock_at", (week[1],)), ("flow_between", week)]
-    looked_up = [leaves_read for *_, leaves_read in recomputed(monkeypatch, journal, calls)]
-    assert looked_up == [set(journal._replay.history)] * 3
+        steps, leaves = Counter(), Counter()
+        for _, _, month_steps, month_leaves in calls[3 * month : 3 * month + 3]:
+            steps += month_steps
+            leaves += month_leaves
+        posted = posted_in(journal, first, last)
+        assert posted or shape == "wide"
+        want = Counter(id(tx) for tx in posted)
+        assert steps == (want + want if month == 0 else want), (first, last)
+        if shape == "wide":  # where the final pairs, raw, would cost every leaf
+            assert set(leaves) <= {p.account for tx in posted for p in tx.postings}, (first, last)

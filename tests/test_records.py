@@ -89,7 +89,7 @@ SPECS = {
         ["chart", "balances", ("as_of", object, None), ("interval", object, None)],
         None,
     ),
-    _Replay: (["chart", "scale", "posted", "faults", "history"], None),
+    _Replay: (["chart", "scale", "posted", "faults", "final"], None),
     Journal: (
         [
             "chart",

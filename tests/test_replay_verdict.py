@@ -30,10 +30,11 @@ def reference_validate_file(text):
         return FileReport("parse-error", tuple(diags), 0, f"{n} parse error(s)")
     fallback = SourceSpan("<journal>", 1, 1, 1)
     chart, txs = journal.expand()
-    scale, stream = _scaled_stream(txs)
+    scale, values_of = _scaled_stream(txs)
     pairs = {leaf: (0, 0) for leaf in chart.leaves()}
     posted, last, consistent = 0, None, True
-    for tx, values in stream:
+    for tx in txs:
+        values = values_of(tx)
         touched = {a for a, _, _ in values}
         before = [pairs.get(a, (0, 0)) for a in touched]
         try:

@@ -192,10 +192,12 @@ class TestReportsBuildNoViews:
     def test_no_window_count_and_no_kept_taccounts(
         self, monkeypatch, capsys, fixture_path, command, flags
     ):
-        """A command's one lookup reads every leaf: it counts no window for
-        a base, keeps no TAccount and makes none through the replay."""
-        replays, windows, made = [], [], []
-        post_init, taccount = _Replay.__post_init__, _Replay.taccount
+        """A command's one lookup builds on the nearer end of the journal:
+        over the whole journal it sums no step, over a window the fewer
+        of the steps inside it and the steps outside; it keeps no
+        TAccount and makes none through the replay."""
+        replays, steps, made = [], [], []
+        post_init, taccount, summed = _Replay.__post_init__, _Replay.taccount, _Replay._summed
 
         def recorded(self):
             replays.append(self)
@@ -205,12 +207,20 @@ class TestReportsBuildNoViews:
             made.append(pair)
             return taccount(self, *pair)
 
+        def counted_summed(self, *spans):
+            steps.extend(tx for span in spans for tx in self._steps[span])
+            return summed(self, *spans)
+
         monkeypatch.setattr(_Replay, "__post_init__", recorded)
         monkeypatch.setattr(_Replay, "taccount", counted)
-        monkeypatch.setattr(_Replay, "_window", lambda self, *dates: windows.append(dates))
+        monkeypatch.setattr(_Replay, "_summed", counted_summed)
         code, out, _ = run(capsys, [command, str(fixture_path), *flags])
         assert code == 0 and out
-        assert replays and not windows and not made
+        assert replays and not made
+        _, txs = parse_journal(fixture_path.read_text(encoding="utf-8"))[0].expand()
+        start, end = (dt.date.fromisoformat(flags[i]) for i in (1, 3)) if flags else (None, None)
+        inside = sum(1 for tx in txs if start < tx.date <= end) if flags else len(txs)
+        assert len(steps) == min(inside, len(txs) - inside)
         for replay in replays:
             assert all(taccounts is None for _, _, taccounts in replay._recent)
 
