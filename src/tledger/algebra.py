@@ -114,9 +114,11 @@ class _Record:
     == (within one class), hash and repr run over the fields, or over
     _compared where a span stays out of ==. Each record's __init__ is
     generated once, when its class is made: it takes _defaults for the
-    last fields, then runs __post_init__ where the class has one. Only
-    Posting and Chart write their own. A subclass without __slots__
-    keeps a __dict__, for its cached properties.
+    last fields, writes each through its slot's member descriptor (bound
+    then, so no write looks the name up or meets __setattr__), then runs
+    __post_init__ where the class has one. Only Posting and Chart write
+    their own. A generated __init__ needs every field to be a slot; a
+    record with cached properties adds a __dict__ slot for them.
     """
 
     __slots__ = ()
@@ -129,10 +131,10 @@ class _Record:
         cls.__match_args__ = names
         if "__init__" in vars(cls):
             return
-        body = "".join(f"\n    set_field(self, {name!r}, {name})" for name in names)
+        body = "".join(f"\n    set_{name}(self, {name})" for name in names)
         if hasattr(cls, "__post_init__"):  # looked up per call, so a patched one runs
             body += "\n    self.__post_init__()"
-        namespace = {"set_field": object.__setattr__}
+        namespace = {f"set_{name}": vars(cls)[name].__set__ for name in names}
         exec(f"def __init__(self, {', '.join(names)}):{body}", namespace)
         init = cls.__init__ = namespace["__init__"]
         init.__defaults__ = cls._defaults

@@ -39,7 +39,7 @@ class AccountPath(_Record):
         for seg in self.segments:
             if not SEGMENT_RE.match(seg):
                 raise ValueError(f"invalid account segment {seg!r}")
-        object.__setattr__(self, "_hash", hash((self.segments,)))
+        _set_hash(self, hash((self.segments,)))
 
     @classmethod
     def parse(cls, text: str) -> AccountPath:
@@ -49,8 +49,8 @@ class AccountPath(_Record):
     def _prefix(cls, segments: tuple[str, ...]) -> AccountPath:
         # A proper prefix of a checked path's segments is itself valid.
         out = object.__new__(cls)
-        object.__setattr__(out, "segments", segments)
-        object.__setattr__(out, "_hash", hash((segments,)))
+        _set_segments(out, segments)
+        _set_hash(out, hash((segments,)))
         return out
 
     @property
@@ -73,6 +73,10 @@ class AccountPath(_Record):
 
     def __str__(self) -> str:
         return ":".join(self.segments)
+
+
+# its slots' member descriptors' writers, as a generated __init__ binds them
+_set_segments, _set_hash = (vars(AccountPath)[name].__set__ for name in AccountPath.__slots__)
 
 
 class Chart(_Record):

@@ -76,8 +76,10 @@ def _renderer(journal: Journal, args):
             return None
         unit, suffix = unit * 100 / journal.basis.as_fraction, "%"
 
+    scaled, per = unit.numerator, unit.denominator
+
     def text(n: int, residual: bool = False) -> str:
-        value = n * unit
+        value = Fraction(n * scaled, per)  # n * unit, with no second Fraction to reduce
         if residual:
             return f"{_signed(value)}{suffix}"
         digits = _rational(value) if places is None else _decimal(value, places)

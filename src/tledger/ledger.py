@@ -103,18 +103,17 @@ class Posting(_Record):
         return self
 
     def _set(self, account, span, ints, entry):
-        set_field = object.__setattr__
-        set_field(self, "account", account)
-        set_field(self, "_span", span)
-        set_field(self, "_ints", ints)
-        set_field(self, "_entry", entry)
+        _set_account(self, account)
+        _set_span(self, span)
+        _set_ints(self, ints)
+        _set_entry(self, entry)
 
     @property
     def span(self) -> SourceSpan | None:
         span = self._span
         if span.__class__ is tuple:  # racing readers may each build an equal span
             span = SourceSpan(*span)
-            object.__setattr__(self, "_span", span)
+            _set_span(self, span)
         return span
 
     @property
@@ -125,8 +124,13 @@ class Posting(_Record):
                 entry = TAccount.cr(Amount(credit_num, credit_den))
             else:
                 entry = TAccount.dr(Amount(debit_num, debit_den))
-            object.__setattr__(self, "_entry", entry)
+            _set_entry(self, entry)
         return self._entry
+
+
+# Posting's slots' member descriptors' writers: no name lookup, no __setattr__
+_set_account, _set_span, _set_ints, _set_entry = (
+    vars(Posting)[name].__set__ for name in Posting.__slots__)
 
 
 class Transaction(_Record):
@@ -340,10 +344,11 @@ class _Replay(_Record):
 
     _fields = ("chart", "scale", "posted", "faults", "final")
     # _steps: the posted transactions, in date order; _values: a step's scaled values
-    __slots__ = (*_fields, "_recent", "_steps", "_values")
+    __slots__ = (*_fields, "_recent", "_steps", "_values", "_zeros")
 
     def __post_init__(self):
         object.__setattr__(self, "_recent", ())  # [window, pairs, TAccounts or None] per lookup
+        object.__setattr__(self, "_zeros", (None, None))  # _zero's dicts, once built
 
     def taccount(self, debit: int, credit: int) -> TAccount:
         """A pair of integers over scale as a TAccount: the shared zero for
@@ -381,23 +386,35 @@ class _Replay(_Record):
         steps, final = self._steps, self.final
         n, j = len(steps), bisect_right(steps, through, key=_date)
         i = 0 if after is None else bisect_right(steps, after, key=_date)
-        zeros = dict.fromkeys(final, _ZERO_TACCOUNT) if recent else None
-        zero, width = (None, dict.fromkeys(final, (0, 0)), zeros), len(final) if recent else 0
-        # (cost, base, spans to sum, forward); after the first, a lookup keeps TAccounts,
-        # which its base gives it, else it costs every leaf's
+        width = len(final) if recent else 0
+        # (cost, base, spans to sum, forward), base None for zero; after the first, a
+        # lookup keeps TAccounts, which its base gives it, else it costs every leaf's
         kept = [(bisect_right(steps, e[0][1], key=_date), e) for e in reversed(recent)
                 if after is None and e[0][0] is None]  # kept stocks, the latest first
         bases = [(abs(j - q) + width * (e[2] is None), e, (slice(min(q, j), max(q, j)),), q <= j)
                  for q, e in kept]
-        bases.append((j - i, zero, (slice(i, j),), True))
+        bases.append((j - i, None, (slice(i, j),), True))
         bases.append((n - j + i + width, (None, final, None), (slice(i), slice(j, n)), False))
         _, base, spans, forward = min(bases, key=itemgetter(0))  # the first on a tie
-        summed = self._summed(*spans)
+        summed, base = self._summed(*spans), base or self._zero(bool(recent))
         out = [[window, *self._built(base, summed, forward, after is None)]]
         if base[0] and base[0][1] < through:  # the steps just summed: the flow since base
-            out.insert(0, [(base[0][1], through), *self._built(zero, summed, True, False)])
+            flow = self._built(self._zero(True), summed, True, False)
+            out.insert(0, [(base[0][1], through), *flow])
         object.__setattr__(self, "_recent", (*recent[len(out) - _RECENT:], *out))
         return out[-1][1]
+
+    def _zero(self, held: bool) -> tuple:
+        """The all-zero base, (None, pairs, the shared zero's TAccounts if held).
+        Each dict is built once per replay, on first need, and set whole, so a
+        race only repeats work."""
+        pairs, taccounts = self._zeros
+        if pairs is None:
+            pairs = dict.fromkeys(self.final, (0, 0))
+        if held and taccounts is None:
+            taccounts = dict.fromkeys(self.final, _ZERO_TACCOUNT)
+        object.__setattr__(self, "_zeros", (pairs, taccounts))
+        return None, pairs, taccounts if held else None
 
     def _summed(self, *spans: slice) -> dict[AccountPath, list[int]]:
         """Each leaf that the posted steps in spans post to, with the
@@ -461,10 +478,11 @@ class Journal(_Record):
     """
 
     _fields = ("chart", "transactions", "schedules", "basis")
+    __slots__ = (*_fields, "__dict__")  # the dict holds the cached properties
     _defaults = ((), (), None)
 
     def __post_init__(self):
-        ordered = tuple(sorted(self.transactions, key=lambda t: t.date))
+        ordered = tuple(sorted(self.transactions, key=_date))
         object.__setattr__(self, "transactions", ordered)
         object.__setattr__(self, "schedules", tuple(self.schedules))
 
@@ -492,7 +510,7 @@ class Journal(_Record):
                     accounts[account] = None
             txs.extend(emitted)
         chart = self.chart.declare_all(accounts) if accounts else self.chart
-        return chart, tuple(sorted(txs, key=lambda t: t.date))
+        return chart, tuple(sorted(txs, key=_date))
 
     @cached_property
     def _replay(self) -> _Replay:
@@ -513,20 +531,17 @@ class Journal(_Record):
         drifted = False
         for tx in txs:
             step = values(tx)
-            touched = {a for a, _, _ in step}
-            before = [pairs.get(a, (0, 0)) for a in touched]
+            before = {a: pairs.get(a, (0, 0)) for a, _, _ in step}  # each touched leaf's pair
             try:
                 debit, credit = _replay_step(chart, pairs, tx, step)
             except LedgerError as err:
                 faults.append((tx, err.with_traceback(None)))
                 continue
             moved_debit = moved_credit = 0
-            for d, c in before:
-                moved_debit -= d
-                moved_credit -= c
-            for a in touched:
-                moved_debit += pairs[a][0]
-                moved_credit += pairs[a][1]
+            for a, (d, c) in before.items():
+                after_debit, after_credit = pairs[a]
+                moved_debit += after_debit - d
+                moved_credit += after_credit - c
             if debit != credit or (moved_debit, moved_credit) != (debit, credit):
                 faults.append((tx, None))
                 drifted = True

@@ -2,8 +2,9 @@
 
 dataclasses alone pulls in inspect, dis, ast, tokenize and linecache.
 The records do without it: each record's __init__ is generated once,
-when its class is made, from a short source text, and only Posting and
-Chart write their own. This runs a fresh interpreter without site,
+when its class is made, from a short source text that writes each field
+through its slot's member descriptor, and only Posting and Chart write
+their own. This runs a fresh interpreter without site,
 which on some installs preloads typing and pathlib, and checks what
 `import tledger.cli` loaded. It measures no time.
 """

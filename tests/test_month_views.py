@@ -327,3 +327,34 @@ def test_a_close_sums_each_months_posted_steps_once(monkeypatch, shape):
         assert steps == (want + want if month == 0 else want), (first, last)
         if shape == "wide":  # where the final pairs, raw, would cost every leaf
             assert set(leaves) <= {p.account for tx in posted for p in tx.postings}, (first, last)
+
+
+def test_a_close_builds_the_zero_base_once(monkeypatch):
+    """The all-zero base's pairs, and its TAccounts once a lookup is kept,
+    are each built once per replay, on first need: every view built on zero,
+    and every flow a forward stock keeps, copies the same dicts. After the
+    first month, no month hashes as many paths as the chart has leaves."""
+    journal = wide_journal(random.Random(27), accounts=1500, transactions=40)
+    leaves = len(journal.expand()[0].leaves())
+    assert leaves >= 1000
+    replay, built, zeros, hashes = journal._replay, tledger.ledger._Replay._built, [], Counter()
+
+    def counted_built(self, base, *rest):
+        if base[0] is None and base[1] is not self.final:  # kept, so no id is reused
+            zeros.append(base)
+        return built(self, base, *rest)
+
+    def counted_hash(path):
+        hashes[month] += 1
+        return path._hash
+
+    monkeypatch.setattr(tledger.ledger._Replay, "_built", counted_built)
+    monkeypatch.setattr(AccountPath, "__hash__", counted_hash)
+    for month, (first, last) in enumerate(CLOSE):
+        for kind, args in month_calls()[3 * month : 3 * month + 3]:
+            getattr(journal, kind)(*args)
+    assert len(zeros) > 2
+    assert len({id(pairs) for _, pairs, _ in zeros}) == 1
+    assert len({id(held) for _, _, held in zeros if held is not None}) == 1
+    assert zeros[0][1] is replay._zero(False)[1]
+    assert max(hashes[month] for month in range(1, len(CLOSE))) < leaves

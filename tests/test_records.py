@@ -2,7 +2,10 @@
 
 The fifteen records are plain classes over one shared base, which
 generates each record's __init__ once, when its class is made; only
-Posting and Chart write their own. Each record gets a twin here, made
+Posting and Chart write their own. A generated __init__ writes each
+field through its slot's member descriptor, bound when the class is
+made, never through object.__setattr__, and what it builds still
+refuses assignment and deletion. Each record gets a twin here, made
 with dataclasses.make_dataclass from the same fields, defaults and
 compare flags, which is how the records were declared before. On values
 drawn from seeded journalgen journals and the fixtures, every record
@@ -22,6 +25,7 @@ import pickle
 import random
 from dataclasses import field, fields, make_dataclass
 from pathlib import Path
+from types import MemberDescriptorType
 
 import pytest
 
@@ -387,6 +391,24 @@ def test_fields_cannot_be_set_or_deleted(cls):
             assert got[1] == want[1]
             with pytest.raises(AttributeError):
                 act(value)
+
+
+def test_generated_inits_write_through_the_slots():
+    generated = [cls for cls in SPECS if cls.__init__.__code__.co_filename == "<string>"]
+    assert set(SPECS) - set(generated) == {Posting, Chart}
+    for cls in generated:
+        for name in cls._fields:
+            assert isinstance(vars(cls)[name], MemberDescriptorType), (cls, name)
+        names = cls.__init__.__code__.co_names
+        assert "set_field" not in names and "__setattr__" not in names, cls
+        value = VALUES[cls][0]
+        made = cls(*(getattr(value, name) for name in cls._fields))
+        assert repr(made) == repr(value)
+        for name in cls._fields:
+            with pytest.raises(AttributeError):
+                setattr(made, name, None)
+            with pytest.raises(AttributeError):
+                delattr(made, name)
 
 
 def test_layout_slots_and_cached_views():
