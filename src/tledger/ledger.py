@@ -10,14 +10,14 @@ reconciles exactly with the stock at any later date.
 
 A journal replays its transactions once, on its first view, and keeps
 only each leaf's final pair and the posted steps in date order: the
-stream is the only record. By the identity above, a view is a base plus or
-minus the fewest posted steps' values. A stock builds on the all-zero
-pairs, the final pairs or one of the last few lookups, which are kept; a
-flow on zero plus its own steps, or on the final pairs less the others.
-Only the leaves those steps post to are recomputed, but every leaf of a
-stock on the final pairs, which are raw. A stock built forward on a kept
-one keeps its sum as the flow between the two, so a month-end close sums
-each month's steps once.
+stream is the only record. By the identity above, a view sums posted
+steps forward by one rule: a stock onto the latest kept stock dated at
+or before its cutoff (the last few lookups are kept), else onto the
+all-zero pairs; a flow onto zero. Only the leaves those steps post to
+are recomputed. A window that holds every posted step reads the final
+pairs, which are raw, so a stock reduces every leaf of them. A stock
+built on a kept one keeps its sum as the flow between the two, so a
+month-end close sums each month's steps once after its first.
 
 The replay runs on exact integers. The group laws hold for any common
 scaling of both sides, so with D the least common multiple of every
@@ -46,7 +46,7 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 from .algebra import _ZERO_AMOUNT, _ZERO_TACCOUNT, Amount, TAccount, _Record, _signed, _sum
 from .chart import AccountPath, Chart
@@ -286,7 +286,7 @@ class Ledger(_Record):
         return out
 
 
-_RECENT = 5  # a close's month reads its stock, its flow, then last month's stock (2 or 3 back)
+_RECENT = 5  # a month's stock sums onto last month's, keeps the flow; reconcile reads all three
 _date = attrgetter("date")
 
 def _scaled_stream(txs) -> tuple[int, Callable]:
@@ -373,9 +373,12 @@ class _Replay(_Record):
         """Each leaf's pair over (after, through], as integers over scale.
 
         after None means from the first transaction, and reduced pairs: a
-        stock; otherwise raw pairs: a flow. The last _RECENT results are
-        kept, shared (no caller may change them) and replaced whole, so a
-        race can only repeat a lookup; a failed one keeps nothing.
+        stock; otherwise raw pairs: a flow. A stock sums forward from the
+        latest kept stock dated at or before its cutoff, else from zero, a
+        flow from zero; a window of every posted step reads the final pairs.
+        The last _RECENT results are kept, shared (no caller may change
+        them) and replaced whole, so a race can only repeat a lookup; a
+        failed one keeps nothing.
         """
         window = after, through
         recent = self._recent
@@ -383,24 +386,21 @@ class _Replay(_Record):
             if entry[0] == window:
                 return entry[1]
         self.raise_first(after, through)
-        steps, final = self._steps, self.final
-        n, j = len(steps), bisect_right(steps, through, key=_date)
+        steps = self._steps
         i = 0 if after is None else bisect_right(steps, after, key=_date)
-        width = len(final) if recent else 0
-        # (cost, base, spans to sum, forward), base None for zero; after the first, a
-        # lookup keeps TAccounts, which its base gives it, else it costs every leaf's
-        kept = [(bisect_right(steps, e[0][1], key=_date), e) for e in reversed(recent)
-                if after is None and e[0][0] is None]  # kept stocks, the latest first
-        bases = [(abs(j - q) + width * (e[2] is None), e, (slice(min(q, j), max(q, j)),), q <= j)
-                 for q, e in kept]
-        bases.append((j - i, None, (slice(i, j),), True))
-        bases.append((n - j + i + width, (None, final, None), (slice(i), slice(j, n)), False))
-        _, base, spans, forward = min(bases, key=itemgetter(0))  # the first on a tie
-        summed, base = self._summed(*spans), base or self._zero(bool(recent))
-        out = [[window, *self._built(base, summed, forward, after is None)]]
+        j = bisect_right(steps, through, key=_date)
+        stocks = [e for e in recent if after is None and e[0][0] is None and e[0][1] <= through]
+        if stocks:
+            base = max(stocks, key=lambda e: e[0][1])  # the latest
+            i = bisect_right(steps, base[0][1], key=_date)
+        elif i == 0 and j == len(steps):  # the window holds every posted step
+            base, i = (None, self.final, None), j
+        else:  # after the first, a lookup keeps TAccounts, which its base gives it
+            base = self._zero(bool(recent))
+        summed = self._summed(i, j) if i < j else {}
+        out = [[window, *self._built(base, summed, after is None)]]
         if base[0] and base[0][1] < through:  # the steps just summed: the flow since base
-            flow = self._built(self._zero(True), summed, True, False)
-            out.insert(0, [(base[0][1], through), *flow])
+            out.insert(0, [(base[0][1], through), *self._built(self._zero(True), summed, False)])
         object.__setattr__(self, "_recent", (*recent[len(out) - _RECENT:], *out))
         return out[-1][1]
 
@@ -416,28 +416,26 @@ class _Replay(_Record):
         object.__setattr__(self, "_zeros", (pairs, taccounts))
         return None, pairs, taccounts if held else None
 
-    def _summed(self, *spans: slice) -> dict[AccountPath, list[int]]:
-        """Each leaf that the posted steps in spans post to, with the
+    def _summed(self, i: int, j: int) -> dict[AccountPath, list[int]]:
+        """Each leaf that the posted steps i to j (not j) post to, with the
         summed debits and credits of their values."""
         sums, values = {}, self._values
-        for span in spans:
-            for tx in self._steps[span]:
-                for leaf, debit, credit in values(tx):
-                    pair = sums.setdefault(leaf, [0, 0])
-                    pair[0] += debit
-                    pair[1] += credit
+        for tx in self._steps[i:j]:
+            for leaf, debit, credit in values(tx):
+                pair = sums.setdefault(leaf, [0, 0])
+                pair[0] += debit
+                pair[1] += credit
         return sums
 
-    def _built(self, base, summed: dict, forward: bool, stock: bool) -> list:
-        """[pairs, TAccounts or None]: a copy of base's, with the summed
-        values added (taken away if not forward), reduced for a stock.
-        Only the summed leaves are recomputed, but every leaf of the
-        final pairs for a stock, for they are raw."""
+    def _built(self, base, summed: dict, stock: bool) -> list:
+        """[pairs, TAccounts or None]: a copy of base's with the summed
+        values added, recomputing only the summed leaves; for a stock,
+        reduced, and every leaf of the final pairs, for they are raw."""
         pairs, held = dict(base[1]), None if base[2] is None else dict(base[2])
         for leaf in pairs if stock and base[1] is self.final else summed:
             debit, credit = pairs[leaf]
             d, c = summed.get(leaf, (0, 0))
-            debit, credit = (debit + d, credit + c) if forward else (debit - d, credit - c)
+            debit, credit = debit + d, credit + c
             if stock:
                 common = min(debit, credit)
                 debit, credit = debit - common, credit - common

@@ -1,9 +1,9 @@
 """Month views summed from posted steps, against the history scan they replace.
 
-A lookup is a base plus or minus the fewest posted steps' values: a
-stock builds on the all-zero pairs, the final pairs or a kept stock, a
-flow on zero plus its own steps or on the final pairs less the others,
-and a kept lookup keeps its TAccounts, which reconcile reads. The
+A lookup sums posted steps forward onto a base: a stock onto the latest
+kept stock dated at or before its cutoff, else onto the all-zero pairs,
+a flow onto zero, and a window that holds every posted step reads the
+final pairs. A kept lookup keeps its TAccounts, which reconcile reads. The
 reference here is the path before that, kept here: a replay that records
 every leaf's cumulative pair after each posted step that moved it, a
 full scan of that history per lookup, and one TAccount built per leaf
@@ -243,15 +243,37 @@ JOURNALS = journals()
 @pytest.mark.parametrize("name, journal", JOURNALS, ids=[name for name, _ in JOURNALS])
 @pytest.mark.parametrize("order", ["close", "reverse", "shuffled"])
 def test_views_match_the_full_scan(monkeypatch, name, journal, order):
-    built = tledger.ledger._Replay._built
-    backward = []
+    """Every view is the reference's. Every lookup sums only steps dated
+    after its base's cutoff (a kept stock's, else its own start) and on or
+    before its own; only a stock builds on a kept stock, one dated at or
+    before its cutoff."""
+    replay_type = tledger.ledger._Replay
+    real_pairs, real_summed, real_built = replay_type.pairs, replay_type._summed, replay_type._built
+    summed, bases = [], []
 
-    def counted(self, base, summed, forward, stock):
-        if stock and not forward and base[0] is not None:  # back from a later kept stock
-            backward.append(base)
-        return built(self, base, summed, forward, stock)
+    def counted_summed(self, i, j):
+        summed.extend(self._steps[i:j])
+        return real_summed(self, i, j)
 
-    monkeypatch.setattr(tledger.ledger._Replay, "_built", counted)
+    def counted_built(self, base, *rest):
+        bases.append(base)
+        return real_built(self, base, *rest)
+
+    def checked_pairs(self, after, through):
+        summed.clear()
+        bases.clear()
+        pairs = real_pairs(self, after, through)
+        if bases:  # a lookup the cache missed: its own base is the first built on
+            kept = bases[0][0]  # a kept stock's window, else None
+            assert kept is None or (after is None and kept[1] <= through)
+            lower = kept[1] if kept else after
+            for tx in summed:
+                assert (lower is None or lower < tx.date) and tx.date <= through
+        return pairs
+
+    monkeypatch.setattr(replay_type, "_summed", counted_summed)
+    monkeypatch.setattr(replay_type, "_built", counted_built)
+    monkeypatch.setattr(replay_type, "pairs", checked_pairs)
     journal = fresh(journal)
     replay = reference_replay(fresh(journal))
     calls = close_calls(journal)
@@ -262,8 +284,6 @@ def test_views_match_the_full_scan(monkeypatch, name, journal, order):
     for kind, args in calls:
         got = outcome(lambda: getattr(journal, kind)(*args))
         assert got == outcome(lambda: reference(replay, kind, args)), (kind, args)
-    # calls in no order build some stocks back from a later kept one
-    assert backward or order != "shuffled"
 
 
 # -- which posted steps a lookup sums ---------------------------------------
@@ -276,9 +296,9 @@ def summed(monkeypatch, journal: Journal, calls):
     steps, leaves = Counter(), Counter()
     real_summed, real_built = type(replay)._summed, type(replay)._built
 
-    def counted_summed(self, *spans):
-        steps.update(id(tx) for span in spans for tx in self._steps[span])
-        return real_summed(self, *spans)
+    def counted_summed(self, i, j):
+        steps.update(id(tx) for tx in self._steps[i:j])
+        return real_summed(self, i, j)
 
     def counted_built(self, base, *rest):
         pairs, held = real_built(self, base, *rest)
@@ -358,3 +378,45 @@ def test_a_close_builds_the_zero_base_once(monkeypatch):
     assert len({id(held) for _, _, held in zeros if held is not None}) == 1
     assert zeros[0][1] is replay._zero(False)[1]
     assert max(hashes[month] for month in range(1, len(CLOSE))) < leaves
+
+
+@pytest.mark.parametrize("kind", ["stock_at", "flow_between"])
+def test_a_first_lookup_over_every_posted_step_reads_the_final_pairs(monkeypatch, kind):
+    """A journal's first stock at or after its last posted step, or first
+    flow over every posted step, sums no step: it reads the final pairs."""
+    journal = wide_journal(random.Random(28), accounts=40, transactions=30)
+    txs = journal.expand()[1]
+    args = (txs[-1].date,) if kind == "stock_at" else (txs[0].date - DAY, txs[-1].date)
+    calls = []
+    monkeypatch.setattr(tledger.ledger._Replay, "_summed", lambda *call: calls.append(call))
+    getattr(journal, kind)(*args)
+    assert calls == []
+
+
+def test_a_last_stock_after_a_close_builds_forward_on_a_kept_one(monkeypatch):
+    """After a close's first eleven months, the stock at the last posted
+    step sums December's steps onto November's kept stock, and builds
+    TAccounts only for the leaves those steps post to: every other leaf
+    keeps November's TAccount."""
+    journal = wide_journal(random.Random(29), accounts=240, transactions=60)
+    *months, (first, last) = CLOSE
+    assert journal.expand()[1][-1].date <= last
+    for kind, args in month_calls()[: 3 * len(months)]:
+        getattr(journal, kind)(*args)
+    november = journal.stock_at(first).balances
+    built, bases = tledger.ledger._Replay._built, []
+
+    def counted_built(self, base, *rest):
+        bases.append(base[0])
+        return built(self, base, *rest)
+
+    monkeypatch.setattr(tledger.ledger._Replay, "_built", counted_built)
+    (_, _, steps, _), = summed(monkeypatch, journal, [("stock_at", (last,))])
+    posted = posted_in(journal, first, last)
+    assert posted and steps == Counter(id(tx) for tx in posted)
+    assert bases[0] == (None, first)
+    moved = {p.account for tx in posted for p in tx.postings}
+    kept = {leaf for leaf, t in november.items() if not t.is_zero and leaf not in moved}
+    assert kept  # leaves that the final pairs would rebuild
+    december = journal.stock_at(last).balances
+    assert {leaf for leaf in december if december[leaf] is not november[leaf]} <= moved
