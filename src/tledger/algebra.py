@@ -116,9 +116,9 @@ class _Record:
     generated once, when its class is made: it takes _defaults for the
     last fields, writes each through its slot's member descriptor (bound
     then, so no write looks the name up or meets __setattr__), then runs
-    __post_init__ where the class has one. Only Posting and Chart write
-    their own. A generated __init__ needs every field to be a slot; a
-    record with cached properties adds a __dict__ slot for them.
+    __post_init__ where the class has one. Only Posting, Transaction and
+    Chart write their own. A generated __init__ needs every field to be a
+    slot; a record with cached properties adds a __dict__ slot for them.
     """
 
     __slots__ = ()

@@ -5,7 +5,7 @@ print. Reports go to standard output, diagnostics to standard error.
 Exit codes: 0 success, 1 validation or usage-of-data failure, 2 parse
 failure. Identical inputs and flags produce byte-identical output. The
 argument parser is built once per process, on the first main(), and a
-posting's source span only when a diagnostic reads it.
+posting's or header's source span only when a diagnostic reads it.
 
 The reports print straight from the replay's integer pairs over D (see
 tledger.ledger): each printed number is an integer, or a difference of

@@ -21,10 +21,10 @@ month-end close sums each month's steps once after its first.
 
 The replay runs on exact integers. The group laws hold for any common
 scaling of both sides, so with D the least common multiple of every
-posting amount's denominator, each amount n/d is the integer n·(D/d)
-and a pair is two integers over D. A posting keeps its literal's
-reduced n and d, which the replay scales, and builds its entry only when
-something reads it; a parsed one so builds its span, which only an error
+posting amount's denominator, each amount n/d is the integer n·(D/d) and
+a pair is two integers over D. A posting keeps its literal's reduced n
+and d, which the replay scales, and builds its entry only when read; a
+parsed posting or transaction so builds its span, which only an error
 reads. The replay proves itself on those integers: every step leaves the
 tree total unchanged, and the whole tree ends a zero representative. A
 view turns into TAccounts only the pairs it returns, every zero pair as
@@ -73,6 +73,15 @@ __all__ = [
 ]
 
 
+def _lazy_span(self) -> SourceSpan | None:
+    """A record's span, built on first read from the four fields it may hold."""
+    span = self._span
+    if span.__class__ is tuple:  # racing readers may each build an equal span
+        span = SourceSpan(*span)
+        object.__setattr__(self, "_span", span)
+    return span
+
+
 class Posting(_Record):
     """One account's share of a transaction: a single-sided entry.
 
@@ -92,29 +101,22 @@ class Posting(_Record):
         # the shared zero on one side makes an entry canonical without a test
         if not (debit is _ZERO_AMOUNT or credit is _ZERO_AMOUNT or entry.is_canonical):
             raise ValueError(f"posting entry must be a pure debit or credit, got {entry}")
-        ints = debit.numerator, debit.denominator, credit.numerator, credit.denominator
-        self._set(account, span, ints, entry)
+        _set_account(self, account)
+        _set_span(self, span)
+        _set_ints(self, (debit.numerator, debit.denominator, credit.numerator, credit.denominator))
+        _set_entry(self, entry)
 
     @classmethod
     def _parsed(cls, account: AccountPath, credit: bool, num: int, den: int, span) -> Posting:
         """One side's reduced literal as a posting; span may be a SourceSpan's four fields."""
         self = object.__new__(cls)
-        self._set(account, span, (0, 1, num, den) if credit else (num, den, 0, 1), None)
-        return self
-
-    def _set(self, account, span, ints, entry):
         _set_account(self, account)
         _set_span(self, span)
-        _set_ints(self, ints)
-        _set_entry(self, entry)
+        _set_ints(self, (0, 1, num, den) if credit else (num, den, 0, 1))
+        _set_entry(self, None)
+        return self
 
-    @property
-    def span(self) -> SourceSpan | None:
-        span = self._span
-        if span.__class__ is tuple:  # racing readers may each build an equal span
-            span = SourceSpan(*span)
-            _set_span(self, span)
-        return span
+    span = property(_lazy_span)
 
     @property
     def entry(self) -> TAccount:
@@ -128,11 +130,6 @@ class Posting(_Record):
         return self._entry
 
 
-# Posting's slots' member descriptors' writers: no name lookup, no __setattr__
-_set_account, _set_span, _set_ints, _set_entry = (
-    vars(Posting)[name].__set__ for name in Posting.__slots__)
-
-
 class Transaction(_Record):
     """A dated, described list of postings.
 
@@ -141,12 +138,27 @@ class Transaction(_Record):
     broken transactions can still be reported with their location.
     """
 
-    __slots__ = _fields = ("date", "description", "postings", "span")
+    __slots__ = ("date", "description", "postings", "_span")
+    _fields = ("date", "description", "postings", "span")
     _compared = _fields[:-1]
-    _defaults = (None,)
+
+    def __init__(self, date: dt.date, description: str, postings: tuple, span=None):
+        _set_date(self, date)
+        _set_description(self, description)
+        _set_postings(self, postings)
+        _set_tx_span(self, span)
+
+    span = property(_lazy_span)
 
     def total(self) -> TAccount:
         return _sum(p.entry for p in self.postings)
+
+
+# The two records' slots' member descriptors' writers: no name lookup, no __setattr__
+_set_account, _set_span, _set_ints, _set_entry = (
+    vars(Posting)[n].__set__ for n in Posting.__slots__)
+_set_date, _set_description, _set_postings, _set_tx_span = (
+    vars(Transaction)[n].__set__ for n in Transaction.__slots__)
 
 
 def _resolve(chart: Chart, postable, account: AccountPath, span=None) -> AccountPath:
@@ -295,7 +307,8 @@ def _scaled_stream(txs) -> tuple[int, Callable]:
     D is the lcm of every posting side's reduced denominator, and a value
     is an (account, debit, credit) triple of integers n·(D/d).
     """
-    denominators = {den for tx in txs for p in tx.postings for den in p._ints[1::2]}
+    ints = [p._ints for tx in txs for p in tx.postings]
+    denominators = {den for _, den, _, _ in ints} | {den for _, _, _, den in ints}
     scale = lcm(*denominators)
     up = {den: scale // den for den in denominators}
 

@@ -120,7 +120,7 @@ class _FileParser:
         self.lineno = 0
         self.recovering = False
         # open transaction block, if any
-        self.header: tuple[dt.date, str, SourceSpan] | None = None
+        self.header: tuple[dt.date, str, tuple] | None = None  # the span as four fields
         self.postings: list[Posting] = []
 
     # -- diagnostics -------------------------------------------------
@@ -225,9 +225,7 @@ class _FileParser:
         if self.header is None:
             return
         date, description, span = self.header
-        self.transactions.append(
-            Transaction(date, description, tuple(self.postings), span=span)
-        )
+        self.transactions.append(Transaction(date, description, tuple(self.postings), span))
         self.header = None
         self.postings = []
 
@@ -334,18 +332,19 @@ class _FileParser:
         if date is None:
             self.recovering = True
             return
-        self.header = (date, m[2], self.span(0, m.end(2) + 1))
+        self.header = (date, m[2], (self.file, self.lineno, 1, m.end(2) + 1))
 
     def posting_line(self, m: re.Match):
-        # Most lines are postings, so the path cache and the chart are read here
-        # before any helper is called, and the span is built only if read.
+        # Most lines are postings: their reads are inline, and the span is built only if read.
         indent, token, side, amount, whole, fraction, den = m.groups()
         path = self.paths.get(token) or self.parse_path(m, 2)
         credit = _CREDIT.get(side)
         if credit is None:
             self.error(f"expected side keyword dr or cr, got {side!r}", self.token_span(m, 3))
         try:
-            literal = _literal(amount, whole, fraction, den)
+            if whole is None:
+                raise ValueError(f"malformed amount {amount!r}")
+            num, den = _reduced(whole, fraction, den)
         except ValueError as err:
             self.error(str(err), self.token_span(m, 4))
             return
@@ -353,7 +352,7 @@ class _FileParser:
             return
         if self.nodes.get(path) or self.resolve_account(path, m, 2):
             where = self.file, self.lineno, len(indent) + 1, len(token)
-            self.postings.append(Posting._parsed(path, credit, *literal, where))
+            self.postings.append(Posting._parsed(path, credit, num, den, where))
 
 
 def parse_journal(
@@ -469,15 +468,13 @@ def validate_file(
     if journal is None:
         n = sum(1 for d in diags if d.severity is Severity.ERROR)
         return FileReport("parse-error", tuple(diags), 0, f"{n} parse error(s)")
-    fallback = SourceSpan(file, 1, 1, 1)
     replay = journal._replay
     for tx, err in replay.faults:
+        span = (tx.span if err is None else err.span) or SourceSpan(file, 1, 1, 1)
         if err is None:
-            diags.append(_inconsistency(tx, fallback))
+            diags.append(_inconsistency(tx, span))
         else:
-            diags.append(
-                ParseDiagnostic(Severity.ERROR, str(err), err.span or fallback)
-            )
+            diags.append(ParseDiagnostic(Severity.ERROR, str(err), span))
     posted = replay.posted
     errors = sum(1 for d in diags if d.severity is Severity.ERROR)
     if errors:

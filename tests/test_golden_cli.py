@@ -2,8 +2,10 @@
 
 golden/cli.json holds, for every invocation below, the exit code,
 standard output and standard error of `tledger`, run in the fixtures
-directory. It sits outside fixtures/, whose every file is a journal.
-Regenerate it only for an intended output change:
+directory. It sits outside fixtures/, whose every file is a journal. The
+journals in fixtures/invalid/ each fail in their own way, so their cases
+pin every diagnostic's text and source span. Regenerate it only for an
+intended output change:
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -43,6 +45,12 @@ WINDOWS = {
     "flows": ["--from", "2020-01-02", "--to", "2021-01-04"],
 }
 WINDOW_FLAGS = ([], ["--percent"], ["--decimal", "2"])
+INVALID = (
+    "invalid/unbalanced.journal",
+    "invalid/undeclared.journal",
+    "invalid/interior.journal",
+    "invalid/malformed_posting.journal",
+)
 
 
 def invocations() -> list[list[str]]:
@@ -53,6 +61,9 @@ def invocations() -> list[list[str]]:
         for command, window in WINDOWS.items():
             out += [[command, journal, *flags] for flags in RENDER_FLAGS]
             out += [[command, journal, *window, *flags] for flags in WINDOW_FLAGS]
+    for journal in INVALID:
+        for command in ("check", "balance", "schedule"):
+            out += [[command, journal], [command, journal, "--loose"]]
     return out
 
 

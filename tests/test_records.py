@@ -2,10 +2,10 @@
 
 The fifteen records are plain classes over one shared base, which
 generates each record's __init__ once, when its class is made; only
-Posting and Chart write their own. A generated __init__ writes each
-field through its slot's member descriptor, bound when the class is
-made, never through object.__setattr__, and what it builds still
-refuses assignment and deletion. Each record gets a twin here, made
+Posting, Transaction and Chart write their own. A generated __init__
+writes each field through its slot's member descriptor, bound when the
+class is made, never through object.__setattr__, and what it builds
+still refuses assignment and deletion. Each record gets a twin here, made
 with dataclasses.make_dataclass from the same fields, defaults and
 compare flags, which is how the records were declared before. On values
 drawn from seeded journalgen journals and the fixtures, every record
@@ -395,7 +395,7 @@ def test_fields_cannot_be_set_or_deleted(cls):
 
 def test_generated_inits_write_through_the_slots():
     generated = [cls for cls in SPECS if cls.__init__.__code__.co_filename == "<string>"]
-    assert set(SPECS) - set(generated) == {Posting, Chart}
+    assert set(SPECS) - set(generated) == {Posting, Transaction, Chart}
     for cls in generated:
         for name in cls._fields:
             assert isinstance(vars(cls)[name], MemberDescriptorType), (cls, name)
